@@ -41,6 +41,11 @@ SHARDS = 8
 WARMUP_FRACTION = 0.5
 TARGET_JOBS = 4
 REQUIRED_SPEEDUP = 2.0
+#: Timing rounds.  Each round times the whole run and then every slice;
+#: each duration is the minimum over the rounds, so host noise inflating
+#: one sample cannot decide the speedup (single samples of equal work vary
+#: by up to 1.6x on a shared 2-core box).
+TIMING_ROUNDS = 3
 
 _CONFIG = MachineConfig().with_integration(IntegrationConfig.full())
 
@@ -74,14 +79,6 @@ def test_sharded_slices_cut_tail_latency(benchmark):
     benchmark at jobs >= 4, slices vs whole run."""
     program = build_workload(LONGEST, scale=SHARD_SCALE)
 
-    # Whole-program baseline (best of 2 to shed scheduler noise).
-    whole_times = []
-    for _ in range(2):
-        t0 = time.perf_counter()
-        whole = simulate(program, _CONFIG, name=LONGEST)
-        whole_times.append(time.perf_counter() - t0)
-    whole_time = min(whole_times)
-
     # Checkpoint plan, built cold (cached + config-shared in real sweeps).
     sharding.clear_plan_memo()
     t0 = time.perf_counter()
@@ -89,15 +86,24 @@ def test_sharded_slices_cut_tail_latency(benchmark):
                                WARMUP_FRACTION, program=program)
     plan_time = time.perf_counter() - t0
 
-    # Every slice, timed individually (this is the real per-job work a pool
-    # worker performs, minus process spawn).
-    slice_times = []
-    parts = []
-    for spec in plan.slices:
+    # The whole-program baseline and every slice (the real per-job work a
+    # pool worker performs, minus process spawn), timed interleaved,
+    # min-of-TIMING_ROUNDS each.
+    whole_times = []
+    slice_samples = [[] for _ in plan.slices]
+    for _ in range(TIMING_ROUNDS):
         t0 = time.perf_counter()
-        parts.append(sharding.simulate_slice(
-            program, _CONFIG, spec, plan.checkpoint_for(spec), name=LONGEST))
-        slice_times.append(time.perf_counter() - t0)
+        whole = simulate(program, _CONFIG, name=LONGEST)
+        whole_times.append(time.perf_counter() - t0)
+        parts = []
+        for spec, samples in zip(plan.slices, slice_samples):
+            t0 = time.perf_counter()
+            parts.append(sharding.simulate_slice(
+                program, _CONFIG, spec, plan.checkpoint_for(spec),
+                name=LONGEST))
+            samples.append(time.perf_counter() - t0)
+    whole_time = min(whole_times)
+    slice_times = [min(samples) for samples in slice_samples]
     merged = sharding.merge_slices(parts)
 
     # Lossless at the instruction level, approximate in cycles (reported).
@@ -129,6 +135,7 @@ def test_sharded_slices_cut_tail_latency(benchmark):
         "scale": SHARD_SCALE,
         "shards": SHARDS,
         "warmup_fraction": WARMUP_FRACTION,
+        "timing_rounds": TIMING_ROUNDS,
         "whole_run_seconds": round(whole_time, 4),
         "checkpoint_plan_seconds": round(plan_time, 4),
         "slice_seconds": [round(t, 4) for t in slice_times],

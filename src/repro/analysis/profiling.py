@@ -7,17 +7,17 @@ profile of cache hits is useless) and reports
 * the top-N functions by cumulative time,
 * a pinned *hot-path highlights* section extracting the per-cycle inner
   loops (issue/execute, LSQ indices, scheduler select/wakeup, the rename
-  and commit stage bodies), so successive PRs can diff like against like
+  and commit stage bodies, the integration test, the IT probe/insert and
+  the DIVA check), so successive changes can diff like against like
   without fishing them out of the full table.
 
 The highlight set is resolved from the **live code objects** -- each entry
 is looked up as an attribute on the owning class and its
 ``__code__.co_filename``/``co_name`` are matched against the profiler's
-records.  A function that is renamed or folded into a caller simply drops
-out of the pin list instead of leaving a stale pattern that silently
-matches nothing (which is how an earlier hard-coded table ended up
-printing an empty highlights section after the structure-of-arrays
-rewrite).
+records.  A pin whose function was renamed or folded into a caller raises
+instead of leaving a stale pattern that silently matches nothing (which is
+how an earlier hard-coded table ended up printing an empty highlights
+section after the structure-of-arrays rewrite).
 
 ``to_dict``/``diff_reports`` serialise a run to JSON and compare two such
 files hot line by hot line (``repro profile --json`` / ``--diff``).  Rows
@@ -43,37 +43,58 @@ from repro.workloads import build_workload
 JSON_SCHEMA = 1
 
 
-def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
-    """The pinned hot-path functions as live ``(filename, name)`` pairs.
+def hot_path_pins() -> Tuple[Tuple[type, Tuple[str, ...]], ...]:
+    """The pinned hot-path functions: ``(owning class, method names)``.
 
-    Resolved at call time from the classes that own the per-cycle inner
-    loops; attributes that no longer exist are skipped, so the pin list
-    tracks refactors automatically.
+    The per-cycle stage bodies plus the per-instruction substrate calls
+    they make: the integration test and entry creation with the IT probe
+    and insert behind them, register allocation and release, the DIVA
+    check, and the scheduler/LSQ indices.
     """
+    from repro.core.diva import DivaChecker
     from repro.core.lsq import LoadStoreQueue
     from repro.core.scheduler import ReservationStations
     from repro.core.stages.commit import CommitDiva
     from repro.core.stages.execute import IssueExecute
     from repro.core.stages.frontend import FrontEnd
     from repro.core.stages.rename import RenameIntegrate
+    from repro.integration.logic import IntegrationLogic
+    from repro.integration.table import IntegrationTable
+    from repro.rename.physical import PhysicalRegisterFile
 
-    wanted = (
+    return (
         (IssueExecute, ("tick", "writeback", "_execute", "_execute_load",
-                        "_execute_store", "_load_can_issue")),
+                        "_load_can_issue")),
         (LoadStoreQueue, ("forward_from", "older_stores_unresolved",
                           "older_store_conflict_possible", "resolve_store",
                           "record_load", "insert", "remove")),
         (ReservationStations, ("select", "wakeup", "insert")),
-        (RenameIntegrate, ("tick", "_rename_one")),
-        (CommitDiva, ("tick", "_retire_commit")),
+        (RenameIntegrate, ("tick", "_integrate")),
+        (IntegrationLogic, ("consider", "create_entries")),
+        (IntegrationTable, ("probe", "insert", "touch")),
+        (PhysicalRegisterFile, ("allocate", "release")),
+        (CommitDiva, ("tick",)),
+        (DivaChecker, ("check_and_commit",)),
         (FrontEnd, ("tick",)),
     )
+
+
+def hot_path_targets() -> Tuple[Tuple[str, str], ...]:
+    """The pinned hot-path functions as live ``(filename, name)`` pairs.
+
+    Resolved at call time from the live code objects of
+    :func:`hot_path_pins`.  A pin whose function was renamed or folded
+    away raises ``LookupError`` instead of silently dropping out of the
+    highlights, so ``repro profile --diff`` always compares like with like.
+    """
     targets: List[Tuple[str, str]] = []
-    for cls, names in wanted:
+    for cls, names in hot_path_pins():
         for name in names:
             code = getattr(getattr(cls, name, None), "__code__", None)
-            if code is not None:
-                targets.append((code.co_filename, code.co_name))
+            if code is None:
+                raise LookupError(f"pinned hot-path function "
+                                  f"{cls.__name__}.{name} no longer exists")
+            targets.append((code.co_filename, code.co_name))
     return tuple(targets)
 
 

@@ -14,10 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.functional.executor import StepResult, execute_step
+from repro.functional.executor import execute_step
 from repro.functional.state import ArchState
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import (
+    CHECK_NONE,
+    CHECK_STORE,
+    CHECK_TAKEN,
+    CHECK_VALUE,
+)
 
 
 class SimulationError(RuntimeError):
@@ -40,61 +45,46 @@ class DivaChecker:
 
     def __init__(self, arch: ArchState):
         self.arch = arch
-        self.checked = 0
-        self.faults = 0
 
-    def check_and_commit(self, dyn: DynInst, observed_value,
-                         observed_taken: Optional[bool],
-                         observed_next_pc: Optional[int]
-                         ) -> tuple:
+    def check_and_commit(self, dyn: DynInst, observed) -> tuple:
         """Re-execute ``dyn`` on architectural state and compare.
 
-        Returns ``(step_result, fault_or_None)``.  The architectural state is
-        always advanced with the *correct* values, so recovery after a fault
-        simply re-fetches from ``arch.pc``.
+        ``observed`` is what the timing core produced for the datum the
+        instruction's retire plan checks (``StaticInst.diva_check``): the
+        destination register's value, the store data, the branch direction
+        or the indirect target.  Returns ``(step_result, fault_or_None)``.
+        The architectural state is always advanced with the *correct*
+        values, so recovery after a fault simply re-fetches from
+        ``arch.pc``.
         """
         inst = dyn.inst
-        if self.arch.pc != inst.pc:
+        arch = self.arch
+        if arch.pc != inst.pc:
             raise SimulationError(
                 f"retirement stream diverged: architectural PC "
-                f"{self.arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
-        self.checked += 1
-        step = execute_step(self.arch, inst)
-        fault = self._compare(dyn, step, observed_value, observed_taken,
-                              observed_next_pc)
-        if fault is not None:
-            self.faults += 1
+                f"{arch.pc:#x} but retiring {inst.pc:#x} (seq {dyn.seq})")
+        step = execute_step(arch, inst)
+        check = inst.diva_check
+        if check == CHECK_VALUE:
+            if observed is None or step.dest_value != observed:
+                fault = DivaFault(dyn, "value", step.dest_value, observed,
+                                  step.next_pc)
+            else:
+                return step, None
+        elif check == CHECK_NONE or observed is None:
+            return step, None
+        elif check == CHECK_TAKEN:
+            if observed == step.taken:
+                return step, None
+            fault = DivaFault(dyn, "branch", step.taken, observed,
+                              step.next_pc)
+        elif check == CHECK_STORE:
+            if step.store_value == observed:
+                return step, None
+            fault = DivaFault(dyn, "store", step.store_value, observed,
+                              step.next_pc)
+        else:                                   # CHECK_NEXT_PC
+            if observed == step.next_pc:
+                return step, None
+            fault = DivaFault(dyn, "branch", None, None, step.next_pc)
         return step, fault
-
-    # ------------------------------------------------------------------
-    def _compare(self, dyn: DynInst, step: StepResult, observed_value,
-                 observed_taken: Optional[bool],
-                 observed_next_pc: Optional[int]) -> Optional[DivaFault]:
-        inst = dyn.inst
-        info = inst.info
-        cls = info.cls
-        if cls is OpClass.SYSCALL or cls is OpClass.NOP:
-            return None
-        if info.is_store:
-            if observed_value is not None and step.store_value != observed_value:
-                return DivaFault(dyn, "store", step.store_value,
-                                 observed_value, step.next_pc)
-            return None
-        if info.is_cond_branch:
-            if observed_taken is not None and observed_taken != step.taken:
-                return DivaFault(dyn, "branch", step.taken, observed_taken,
-                                 step.next_pc)
-            return None
-        if cls is OpClass.DIRECT_JUMP:
-            return None
-        if info.is_indirect_ctl:
-            if observed_next_pc is not None and observed_next_pc != step.next_pc:
-                return DivaFault(dyn, "branch", None, None, step.next_pc)
-            return None
-        # Register-producing instruction (ALU, FP, load, direct call link).
-        if inst.dest is None:
-            return None
-        if observed_value is None or step.dest_value != observed_value:
-            return DivaFault(dyn, "value", step.dest_value, observed_value,
-                             step.next_pc)
-        return None

@@ -215,8 +215,8 @@ class Processor:
           is in flight (clamps the jump to ``fetch_resume_cycle``);
         * rename -- quiescent when the queue head has not decoded yet
           (clamps to its ready cycle) or is structurally blocked on a full
-          ROB/RS/LSQ.  An unblocked head means rename would run
-          ``_rename_one`` -- whose integration-table retry is not
+          ROB/RS/LSQ.  An unblocked head means rename would attempt it
+          -- and an attempt's integration-table probe is not
           idempotent -- so that is never elided;
         * commit -- quiescent when the ROB is empty or the head cannot
           retire.  A head blocked only by the minimum rename-to-retire age

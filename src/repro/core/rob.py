@@ -38,7 +38,6 @@ class ReorderBuffer:
     def push(self, dyn: DynInst) -> None:
         if self.full:
             raise RuntimeError("ROB overflow")
-        dyn.rob_index = len(self._entries)
         self._entries.append(dyn)
 
     def head(self) -> Optional[DynInst]:

@@ -19,7 +19,7 @@ from repro.core.stages.base import (
     RecoveryController,
     Stage,
 )
-from repro.core.stages.commit import CommitDiva, integration_type
+from repro.core.stages.commit import CommitDiva
 from repro.core.stages.execute import IssueExecute
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stages.rename import RenameIntegrate
@@ -32,5 +32,4 @@ __all__ = [
     "RenameIntegrate",
     "IssueExecute",
     "CommitDiva",
-    "integration_type",
 ]

@@ -9,31 +9,17 @@ evaluation is built on.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.diva import DivaFault, SimulationError
 from repro.core.stages.base import PipelineState, RecoveryController
-from repro.core.stats import IntegrationType, ResultStatus, distance_bucket
-from repro.isa.instruction import DynInst, StaticInst
-from repro.isa.opcodes import OpClass, is_load
-from repro.isa.registers import REG_SP
+from repro.core.stats import distance_bucket
+from repro.isa.instruction import DynInst
+from repro.isa.opcodes import (
+    CHECK_NEXT_PC,
+    CHECK_STORE,
+    CHECK_TAKEN,
+    CHECK_VALUE,
+)
 from repro.obs.cpi import CPI_INTEGRATION_REPLAY
-
-
-def integration_type(inst: StaticInst) -> Optional[IntegrationType]:
-    """Categorise an instruction for the Figure 5 "Type" breakdown."""
-    info = inst.info
-    if info.is_load:
-        if inst.ra == REG_SP:
-            return IntegrationType.LOAD_SP
-        return IntegrationType.LOAD_OTHER
-    if info.is_cond_branch:
-        return IntegrationType.BRANCH
-    if info.fp:
-        return IntegrationType.FP
-    if info.cls in (OpClass.IALU, OpClass.IMUL):
-        return IntegrationType.ALU
-    return None
 
 
 class CommitDiva:
@@ -44,165 +30,131 @@ class CommitDiva:
     def __init__(self, state: PipelineState, recovery: RecoveryController):
         self.state = state
         self.recovery = recovery
-        # integration_type is pure per static instruction; memoise by PC so
-        # retirement does not re-derive it for every dynamic instance.
-        self._itype_by_pc: dict = {}
-
-    def _integration_type(self, dyn: DynInst) -> Optional[IntegrationType]:
-        cache = self._itype_by_pc
-        itype = cache.get(dyn.pc, False)
-        if itype is False:
-            itype = cache[dyn.pc] = integration_type(dyn.inst)
-        return itype
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
+        """Retire up to ``retire_width`` instructions from the ROB head.
+
+        Each instruction's static retire plan (``StaticInst.diva_check``
+        and ``StaticInst.itype``) says where its observed result lives,
+        what DIVA compares and which Figure 5 type it counts as.
+        """
         state = self.state
         rob_entries = state.rob._entries
         if not rob_entries:
             return
-        budget = state.retire_budget
         stats = state.stats
+        group = state.config.retire_width
+        budget = state.retire_budget
+        if budget is not None and budget - stats.retired < group:
+            # Exact slice boundary: never retire past the budget, so a
+            # resumed run stops on a precise instruction boundary.
+            group = budget - stats.retired
         cycle = state.cycle
-        prf_ready = state.prf.ready
-        prf_values = state.prf.values
+        prf = state.prf
+        prf_ready = prf.ready
+        prf_values = prf.values
+        release = prf.release
         diva = state.diva
+        arch = state.arch
+        predictions = state.predictions
+        tracer = state.tracer
         retired = 0
-        width = state.config.retire_width
-        while retired < width:
-            if budget is not None and stats.retired >= budget:
-                # Exact slice boundary: never retire past the budget, so a
-                # resumed run stops on a precise instruction boundary.
-                break
-            if not rob_entries:
-                break
+        while retired < group and rob_entries:
             dyn = rob_entries[0]
-            # _can_retire, inlined.
             if cycle <= dyn.rename_cycle + 1:
                 break
-            info = dyn.info
             if dyn.integrated:
                 dest = dyn.dest_preg
                 if dest is not None and not prf_ready[dest]:
                     break
             elif not dyn.completed:
                 break
-            if info.is_store:
+            inst = dyn.inst
+            check = inst.diva_check
+            if check == CHECK_VALUE:
+                dest = dyn.dest_preg
+                observed = None if dest is None else prf_values[dest]
+            elif check == CHECK_STORE:
                 stall, accepted = state.mem.store(dyn.eff_addr or 0, cycle)
                 if not accepted:
                     break
-            # _observed_results, inlined.
-            observed_value = None
-            observed_taken = None
-            observed_next_pc = None
-            if info.is_store:
-                observed_value = dyn.store_value
-            elif info.is_cond_branch:
-                observed_taken = dyn.branch_taken
-            elif info.is_indirect_ctl:
-                observed_next_pc = dyn.next_pc
-            elif dyn.inst.dest is not None and dyn.dest_preg is not None:
-                observed_value = prf_values[dyn.dest_preg]
-            step, fault = diva.check_and_commit(
-                dyn, observed_value, observed_taken, observed_next_pc)
+                observed = dyn.store_value
+            elif check == CHECK_TAKEN:
+                observed = dyn.branch_taken
+            elif check == CHECK_NEXT_PC:
+                observed = dyn.next_pc
+            else:
+                observed = None
+            step, fault = diva.check_and_commit(dyn, observed)
             if fault is not None:
                 self._handle_diva_fault(dyn, step, fault)
-                self._retire_commit(dyn)
-                retired += 1
-                break
-            self._retire_commit(dyn)
+
+            # Retire: leave the ROB; the previous (shadowed) mapping of the
+            # destination drops its reference (Renamer.commit).
+            rob_entries.popleft()
+            old = dyn.old_dest_preg
+            if old is not None:
+                release(old)
+            if dyn.in_lsq:
+                state.lsq.remove(dyn)
+            dyn.retire_cycle = cycle
+            info = dyn.info
+            if info.is_branch:
+                # Only branches register predictions (see FrontEnd.tick).
+                predictions.pop(dyn.seq, None)
             retired += 1
-            if state.arch.halted:
+            if dyn.mis_integrated:
+                # The refill after the mis-integration flush is replay work;
+                # do_squash already blamed it on squash_recovery, override.
+                state.stall_cause = CPI_INTEGRATION_REPLAY
+            elif not (dyn.branch_mispredicted or dyn.mem_mispeculated):
+                # An innocent retirement ends the recovery window: later
+                # empty-ROB cycles are ordinary front-end supply again.
+                state.stall_cause = None
+            if tracer is not None:
+                tracer.on_retire(dyn, cycle)
+
+            itype = inst.itype
+            if itype is not None:
+                stats.retired_by_type[itype] += 1
+            if info.is_cond_branch:
+                stats.retired_branches += 1
+                if dyn.branch_mispredicted or dyn.mis_integrated:
+                    stats.retired_mispredicted_branches += 1
+                    stats.branch_resolution_latency_sum += max(
+                        0, dyn.complete_cycle - dyn.fetch_cycle)
+            if dyn.integrated and not dyn.mis_integrated:
+                self._count_integration(dyn, itype)
+            if fault is not None or arch.halted:
                 break
+        if retired:
+            stats.retired += retired
+            state.last_retire_cycle = cycle
 
     def flush(self, redirect_pc: int) -> None:
         """Retirement is in-order and architectural; nothing speculative to
         discard."""
 
     # ------------------------------------------------------------------
-    def _can_retire(self, dyn: DynInst) -> bool:
-        state = self.state
-        if state.cycle <= dyn.rename_cycle + 1:
-            return False
-        if dyn.integrated:
-            if (dyn.dest_preg is not None
-                    and not state.prf.ready[dyn.dest_preg]):
-                return False
-            return True
-        return dyn.completed
-
-    def _observed_results(self, dyn: DynInst):
-        """Collect what the timing core believes this instruction produced."""
-        state = self.state
-        observed_value = None
-        observed_taken = None
-        observed_next_pc = None
-        inst = dyn.inst
-        info = dyn.info
-        if info.is_store:
-            observed_value = dyn.store_value
-        elif info.is_cond_branch:
-            observed_taken = dyn.branch_taken
-        elif info.is_indirect_ctl:
-            observed_next_pc = dyn.next_pc
-        elif inst.dest is not None and dyn.dest_preg is not None:
-            observed_value = state.prf.value(dyn.dest_preg)
-        return observed_value, observed_taken, observed_next_pc
-
-    def _retire_commit(self, dyn: DynInst) -> None:
-        """Post-DIVA retirement bookkeeping and statistics."""
-        state = self.state
-        state.rob.pop_head()
-        state.renamer.commit(dyn)
-        if dyn.in_lsq:
-            state.lsq.remove(dyn)
-        cycle = state.cycle
-        dyn.retire_cycle = cycle
-        state.last_retire_cycle = cycle
-        if dyn.info.is_branch:
-            # Only branches register predictions (see FrontEnd.tick).
-            state.predictions.pop(dyn.seq, None)
-        stats = state.stats
-        stats.retired += 1
-        if dyn.mis_integrated:
-            # The refill after the mis-integration flush is replay work;
-            # do_squash already blamed it on squash_recovery, override.
-            state.stall_cause = CPI_INTEGRATION_REPLAY
-        elif not (dyn.branch_mispredicted or dyn.mem_mispeculated):
-            # An innocent retirement ends the recovery window: later
-            # empty-ROB cycles are ordinary front-end supply again.
-            state.stall_cause = None
-        tracer = state.tracer
-        if tracer is not None:
-            tracer.on_retire(dyn, cycle)
-
-        cache = self._itype_by_pc
-        itype = cache.get(dyn.pc, False)
-        if itype is False:
-            itype = cache[dyn.pc] = integration_type(dyn.inst)
-        if itype is not None:
-            stats.retired_by_type[itype] += 1
-        if dyn.info.is_cond_branch:
-            stats.retired_branches += 1
-            if dyn.branch_mispredicted or dyn.mis_integrated:
-                stats.retired_mispredicted_branches += 1
-                stats.branch_resolution_latency_sum += max(
-                    0, dyn.complete_cycle - dyn.fetch_cycle)
-        if dyn.integrated and not dyn.mis_integrated:
-            if dyn.reverse_integrated:
-                stats.integrated_reverse += 1
-                if itype is not None:
-                    stats.reverse_by_type[itype] += 1
-            else:
-                stats.integrated_direct += 1
+    def _count_integration(self, dyn: DynInst, itype) -> None:
+        """Figure 5 statistics of a retired (correctly) integrated
+        instruction."""
+        stats = self.state.stats
+        if dyn.reverse_integrated:
+            stats.integrated_reverse += 1
             if itype is not None:
-                stats.integration_by_type[itype] += 1
-            stats.integration_distance[
-                distance_bucket(dyn.integration_distance)] += 1
-            if dyn.integration_status is not None:
-                stats.integration_status[dyn.integration_status] += 1
-            if dyn.integration_refcount:
-                stats.integration_refcount[dyn.integration_refcount] += 1
+                stats.reverse_by_type[itype] += 1
+        else:
+            stats.integrated_direct += 1
+        if itype is not None:
+            stats.integration_by_type[itype] += 1
+        stats.integration_distance[
+            distance_bucket(dyn.integration_distance)] += 1
+        if dyn.integration_status is not None:
+            stats.integration_status[dyn.integration_status] += 1
+        if dyn.integration_refcount:
+            stats.integration_refcount[dyn.integration_refcount] += 1
 
     def _handle_diva_fault(self, dyn: DynInst, step,
                            fault: DivaFault) -> None:
@@ -222,7 +174,7 @@ class CommitDiva:
                 f"{fault.observed_value!r}, expected {fault.correct_value!r}")
         dyn.mis_integrated = True
         state.stats.mis_integrations += 1
-        if is_load(dyn.op):
+        if dyn.info.is_load:
             state.stats.load_mis_integrations += 1
             state.integration.train_lisp(dyn.inst.pc)
         else:

@@ -182,7 +182,6 @@ class IssueExecute:
         config = state.config
         dyn.issued = True
         cycle = state.cycle
-        dyn.issue_cycle = cycle
         state.stats.issued += 1
         tracer = state.tracer
         if tracer is not None:
@@ -211,7 +210,6 @@ class IssueExecute:
                 if type(b) is float:
                     b = int(b)
                 result = info.eval_fn(a, b, inst.imm)
-            dyn.result = result
             latency = info.latency
             self._schedule_wakeup(dyn, latency, result)
             self._schedule_complete(dyn, regread + latency + wb)
@@ -224,9 +222,7 @@ class IssueExecute:
             target = int(a) & _MASK64
             dyn.next_pc = target
             if dyn.cls is OpClass.CALL_INDIRECT and dyn.dest_preg is not None:
-                link = inst.pc + INST_SIZE
-                dyn.result = link
-                self._schedule_wakeup(dyn, 1, link)
+                self._schedule_wakeup(dyn, 1, inst.pc + INST_SIZE)
             self._schedule_complete(dyn, regread + 1 + wb)
         elif kind == 3:                             # load
             self._execute_load(dyn, a, slot)
@@ -270,7 +266,6 @@ class IssueExecute:
         if dyn.info.is_ldl:
             value = semantics.to_unsigned(
                 semantics.to_signed(int(value) & semantics.MASK32, 32))
-        dyn.result = value
         self._schedule_wakeup(dyn, latency, value)
         self._schedule_complete(dyn, config.regread_stages + latency
                                 + config.writeback_stages)

@@ -80,8 +80,6 @@ class FrontEnd:
             if inst.info.is_branch:
                 prediction = predictor.predict(inst)
                 snap = None
-                dyn.pred_taken = prediction.taken
-                dyn.pred_next_pc = prediction.target
                 predictions[dyn.seq] = prediction
                 append((dyn, ready_cycle))
                 if prediction.taken:
@@ -90,7 +88,6 @@ class FrontEnd:
             else:
                 # Non-control-flow: the predictor has no side effects and
                 # always predicts fall-through, so skip the call entirely.
-                dyn.pred_next_pc = fetch_pc
                 append((dyn, ready_cycle))
         self.fetch_pc = fetch_pc
         state.stats.fetched += fetched

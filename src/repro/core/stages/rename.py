@@ -6,12 +6,15 @@ points the instruction at an existing physical register (integration: the
 instruction leaves the pipeline here, never issuing) or allocates a fresh
 destination and dispatches it to the out-of-order engine.
 
-The per-instruction work is written flat: source lookup reads the map-table
-arrays directly, the integration preconditions (enabled, integrable opcode)
-are tested before calling into the integration logic, and the destination
-rename uses the allocation-free :meth:`~repro.rename.renamer.Renamer.
-rename_dest` code path.  All decisions and statistics are identical to the
-layered equivalents the unit tests exercise.
+The per-instruction work is written flat in :meth:`RenameIntegrate.tick`:
+source lookup and the destination's map-table update read and write the
+map-table arrays directly, the integration preconditions (enabled,
+integrable opcode) are tested before calling into the integration logic,
+and the common negative decision is recognised by identity.  Only an
+instruction with a non-trivial decision leaves the loop body, for
+:meth:`RenameIntegrate._integrate`.  All decisions and statistics
+are identical to the layered :class:`~repro.rename.renamer.Renamer`
+operations the unit tests exercise.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from repro.core.stages.base import PipelineState, RecoveryController
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stats import ResultStatus
 from repro.integration.config import LispMode
+from repro.integration.logic import NO_INTEGRATION
 from repro.isa import semantics
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
 from repro.isa.program import INST_SIZE
-from repro.isa.registers import REG_FZERO, REG_ZERO
-from repro.rename.physical import ZERO_PREG
 
 
 class RenameIntegrate:
@@ -46,140 +48,143 @@ class RenameIntegrate:
     # ------------------------------------------------------------------
     def tick(self) -> None:
         state = self.state
-        cycle = state.cycle
         fetch_queue = self.frontend.fetch_queue
         if not fetch_queue:
             return
-        rob = state.rob
-        rob_entries = rob._entries
-        rob_size = rob.size
+        cycle = state.cycle
+        rob_entries = state.rob._entries
+        rob_start = len(rob_entries)
+        # Each renamed instruction enters the ROB, so the group ends at the
+        # rename width or when the ROB fills, whichever comes first.
+        group = state.rob.size - rob_start
+        if group > state.config.rename_width:
+            group = state.config.rename_width
+        popleft = fetch_queue.popleft
         rs = state.rs
         rs_waiting = rs._waiting
         rs_entries = rs.entries
         lsq = state.lsq
-        lsq_by_seq = lsq._by_seq
-        lsq_size = lsq.size
-        stats = state.stats
-        rename_one = self._rename_one
-        renamed = 0
-        width = state.config.rename_width
+        map_table = state.map_table
+        mt_pregs = map_table._pregs
+        mt_gens = map_table._gens
+        prf = state.prf
+        prf_gen = prf.gen
+        allocate = prf.allocate
+        preg_producer = state.preg_producer
+        integration = state.integration if self._int_enabled else None
         tracer = state.tracer
-        while renamed < width and fetch_queue:
-            dyn, ready_cycle = fetch_queue[0]
-            if ready_cycle > cycle or len(rob_entries) >= rob_size:
-                break
-            info = dyn.info
-            if info.needs_rs and len(rs_waiting) >= rs_entries:
-                break
-            if info.is_mem and len(lsq_by_seq) >= lsq_size:
+        for _ in range(group):
+            if not fetch_queue:
                 break
             # Remove the instruction from the front-end queue before renaming
             # it: an integrated branch that redirects fetch flushes the queue
             # and must not flush itself.
-            fetch_queue.popleft()
-            if not rename_one(dyn):
+            dyn, ready_cycle = popleft()
+            info = dyn.info
+            if (ready_cycle > cycle
+                    or info.needs_rs and len(rs_waiting) >= rs_entries
+                    or info.is_mem and len(lsq._by_seq) >= lsq.size):
                 fetch_queue.appendleft((dyn, ready_cycle))
                 break
+            inst = dyn.inst
+
+            # Source lookup.  The zero registers are never renamed: they
+            # map to ZERO_PREG at generation 0 for the whole run, so every
+            # source can read the map.
+            srcs = inst.srcs
+            if len(srcs) == 2:
+                a, b = srcs
+                dyn.src_pregs = (mt_pregs[a], mt_pregs[b])
+                dyn.src_gens = (mt_gens[a], mt_gens[b])
+            elif srcs:
+                a = srcs[0]
+                dyn.src_pregs = (mt_pregs[a],)
+                dyn.src_gens = (mt_gens[a],)
+
+            if integration is not None and info.integrable:
+                decision = integration.consider(
+                    dyn, dyn.call_depth,
+                    self._oracle_allow if self._oracle_loads and info.is_load
+                    else None)
+                if decision is not NO_INTEGRATION \
+                        and self._integrate(dyn, decision):
+                    dyn.rename_cycle = cycle
+                    rob_entries.append(dyn)
+                    if tracer is not None:
+                        tracer.on_rename(dyn, cycle)
+                    if dyn.branch_mispredicted:
+                        # The branch redirected fetch: everything behind
+                        # it in the queue was flushed.
+                        break
+                    continue
+
+            # Conventional rename: claim a fresh destination register.
+            dest = inst.mapped_dest
+            if dest is not None:
+                preg = allocate()
+                if preg is None:
+                    fetch_queue.appendleft((dyn, ready_cycle))
+                    break
+                dyn.old_dest_preg = mt_pregs[dest]
+                dyn.old_dest_gen = mt_gens[dest]
+                gen = prf_gen[preg]
+                dyn.dest_preg = preg
+                dyn.dest_gen = gen
+                mt_pregs[dest] = preg
+                mt_gens[dest] = gen
+                preg_producer[preg] = dyn
+            if integration is not None:
+                integration.create_entries(dyn, dyn.call_depth)
+            if info.needs_rs:
+                rs.insert(dyn)
+                if info.is_mem:
+                    lsq.insert(dyn)
+                dyn.dispatch_cycle = cycle
+            else:
+                if dyn.cls is OpClass.CALL_DIRECT \
+                        and dyn.dest_preg is not None:
+                    prf.set_value(dyn.dest_preg, inst.pc + INST_SIZE)
+                dyn.executed = True
+                dyn.completed = True
+                dyn.complete_cycle = cycle
             dyn.rename_cycle = cycle
-            rob.push(dyn)
-            stats.renamed += 1
-            renamed += 1
+            rob_entries.append(dyn)
             if tracer is not None:
                 tracer.on_rename(dyn, cycle)
-            # An integrated branch that redirected fetch ends the rename
-            # group (everything behind it in the queue was flushed).
-            if dyn.branch_mispredicted and dyn.integrated:
-                break
+        state.stats.renamed += len(rob_entries) - rob_start
 
     def flush(self, redirect_pc: int) -> None:
         """Rename holds no inter-cycle state; nothing to discard."""
 
     # ------------------------------------------------------------------
-    def _rename_one(self, dyn: DynInst) -> bool:
-        """Rename (or integrate) one instruction; False means stall."""
+    def _integrate(self, dyn: DynInst, decision) -> bool:
+        """Count a non-trivial integration decision and apply it: point
+        the instruction at the matched IT entry's result.  False means
+        rename conventionally (no match, or the result's reference counter
+        is saturated)."""
         state = self.state
-        inst = dyn.inst
-        info = dyn.info
-
-        # Source lookup (Renamer.lookup_sources, inlined).
-        map_table = state.map_table
-        mt_pregs = map_table._pregs
-        mt_gens = map_table._gens
-        pregs = []
-        gens = []
-        for logical in inst.srcs:
-            if logical == REG_ZERO or logical == REG_FZERO:
-                pregs.append(ZERO_PREG)
-                gens.append(0)
-            else:
-                pregs.append(mt_pregs[logical])
-                gens.append(mt_gens[logical])
-        dyn.src_pregs = pregs
-        dyn.src_gens = gens
-
-        if self._int_enabled and info.integrable:
-            oracle = (self._oracle_allow
-                      if self._oracle_loads and info.is_load else None)
-            decision = state.integration.consider(dyn, dyn.call_depth,
-                                                  oracle_allow=oracle)
-            if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
-                state.stats.lisp_suppressed += 1
-            if decision.integrate:
-                if self._apply_integration(dyn, decision):
-                    return True
-                state.stats.refcount_saturation_failures += 1
-
-        code = state.renamer.rename_dest(dyn)
-        if code < 0:
+        stats = state.stats
+        if decision.suppressed_by_lisp or decision.suppressed_by_oracle:
+            stats.lisp_suppressed += 1
+        if not decision.integrate:
             return False
-        if code > 0:
-            state.preg_producer[dyn.dest_preg] = dyn
-        if self._int_enabled:
-            state.integration.create_entries(dyn, dyn.call_depth)
-
-        cycle = state.cycle
-        cls = dyn.cls
-        if cls is OpClass.CALL_DIRECT:
-            link = inst.pc + INST_SIZE
-            if dyn.dest_preg is not None:
-                state.prf.set_value(dyn.dest_preg, link)
-            dyn.result = link
-            dyn.executed = True
-            dyn.completed = True
-            dyn.complete_cycle = cycle
-        elif info.rename_complete:
-            dyn.executed = True
-            dyn.completed = True
-            dyn.complete_cycle = cycle
-        else:
-            state.rs.insert(dyn)
-            if info.is_mem:
-                state.lsq.insert(dyn)
-            dyn.dispatch_cycle = cycle
-        return True
-
-    def _mark_rename_complete(self, dyn: DynInst) -> None:
-        dyn.executed = True
-        dyn.completed = True
-        dyn.complete_cycle = self.state.cycle
-
-    # ------------------------------------------------------------------
-    def _apply_integration(self, dyn: DynInst, decision) -> bool:
-        """Point the instruction at the matched IT entry's result."""
-        state = self.state
         entry = decision.entry
         if dyn.info.is_cond_branch:
             self._integrate_branch(dyn, entry)
             return True
-        status = self._result_status(entry.out)
-        if not state.renamer.integrate_dest(dyn, entry.out, entry.out_gen):
+        out = entry.out
+        status = self._result_status(out)
+        if not state.renamer.integrate_dest(dyn, out, entry.out_gen):
+            stats.refcount_saturation_failures += 1
             return False
         dyn.integrated = True
         dyn.reverse_integrated = entry.is_reverse
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.integration_status = status
-        dyn.integration_refcount = state.prf.refcount[entry.out]
-        self._mark_rename_complete(dyn)
+        dyn.integration_refcount = state.prf.refcount[out]
+        dyn.executed = True
+        dyn.completed = True
+        dyn.complete_cycle = state.cycle
         return True
 
     def _integrate_branch(self, dyn: DynInst, entry) -> None:
@@ -192,7 +197,9 @@ class RenameIntegrate:
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.branch_taken = outcome
         dyn.next_pc = inst.target if outcome else inst.pc + INST_SIZE
-        self._mark_rename_complete(dyn)
+        dyn.executed = True
+        dyn.completed = True
+        dyn.complete_cycle = state.cycle
         prediction = state.predictions.get(dyn.seq)
         if prediction is None:
             return

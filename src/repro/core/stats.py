@@ -16,20 +16,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-
-class IntegrationType(enum.Enum):
-    """Instruction-type categories of the Figure 5 "Type" breakdown."""
-
-    LOAD_SP = "load_sp"
-    LOAD_OTHER = "load"
-    ALU = "alu"
-    BRANCH = "branch"
-    FP = "fp"
+# Defined with the opcode metadata that precomputes it (the retire plan).
+from repro.isa.opcodes import IntegrationType
 
 
-class ResultStatus(enum.Enum):
+class ResultStatus(str, enum.Enum):
     """State of the integrated result at integration time (Figure 5
-    "Status" breakdown)."""
+    "Status" breakdown).  String-valued like
+    :class:`~repro.isa.opcodes.IntegrationType`, for a C-level hash."""
 
     RENAME = "rename"          # producer renamed but not yet issued
     ISSUE = "issue"            # producer issued but not yet retired

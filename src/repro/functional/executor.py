@@ -47,6 +47,8 @@ def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
     Dispatches through the per-opcode handlers precomputed on ``OpInfo``
     (the same functions ``semantics.evaluate`` consults) so the per-step
     cost is an attribute read instead of an enum-keyed dict probe.
+    Register results go to ``inst.mapped_dest``, which is ``None`` for the
+    hard-wired zero registers (writes to them are discarded).
     """
     info = inst.info
     cls = info.cls
@@ -71,7 +73,8 @@ def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
             if type(b) is float:
                 b = int(b)
             dest_value = info.eval_fn(a, b, inst.imm)
-        state.write_reg(inst.rd, dest_value)
+        if inst.mapped_dest is not None:
+            regs[inst.mapped_dest] = dest_value
     elif cls is OpClass.LOAD:
         base = regs[inst.ra]
         eff_addr = (int(base) + inst.imm) & _MASK64
@@ -79,7 +82,8 @@ def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
         if info.is_ldl:
             dest_value = semantics.to_unsigned(
                 semantics.to_signed(int(dest_value) & _MASK32, 32))
-        state.write_reg(inst.rd, dest_value)
+        if inst.mapped_dest is not None:
+            regs[inst.mapped_dest] = dest_value
     elif cls is OpClass.STORE:
         data = regs[inst.ra]
         base = regs[inst.rb]
@@ -121,9 +125,8 @@ def execute_step(state: ArchState, inst: StaticInst) -> StepResult:
     state.inst_count += 1
     if halted:
         state.halted = True
-    return StepResult(inst=inst, next_pc=next_pc, dest_value=dest_value,
-                      eff_addr=eff_addr, store_value=store_value,
-                      taken=taken, halted=halted)
+    return StepResult(inst, next_pc, dest_value, eff_addr, store_value,
+                      taken, halted)
 
 
 def _do_syscall(state: ArchState, code: int) -> bool:

@@ -21,7 +21,6 @@ from repro.integration.config import IntegrationConfig, IndexScheme, LispMode
 from repro.integration.lisp import LoadIntegrationSuppressionPredictor
 from repro.integration.table import IntegrationTable, ITEntry
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import Opcode, load_counterpart
 from repro.isa.registers import REG_SP
 from repro.rename.physical import PhysicalRegisterFile
 
@@ -32,13 +31,17 @@ OracleCheck = Callable[[DynInst, ITEntry], bool]
 
 @dataclass(slots=True)
 class IntegrationDecision:
-    """Result of the rename-time integration test for one instruction."""
+    """Result of the rename-time integration test for one instruction.
+
+    The negative outcomes are shared constants (:data:`NO_INTEGRATION`,
+    :data:`LISP_SUPPRESSED`, :data:`ORACLE_SUPPRESSED`); never mutate a
+    decision.
+    """
 
     integrate: bool
     entry: Optional[ITEntry] = None
     suppressed_by_lisp: bool = False
     suppressed_by_oracle: bool = False
-    tag_hit: bool = False
 
     @property
     def is_reverse(self) -> bool:
@@ -46,6 +49,9 @@ class IntegrationDecision:
 
 
 NO_INTEGRATION = IntegrationDecision(integrate=False)
+LISP_SUPPRESSED = IntegrationDecision(integrate=False, suppressed_by_lisp=True)
+ORACLE_SUPPRESSED = IntegrationDecision(integrate=False,
+                                        suppressed_by_oracle=True)
 
 
 class IntegrationLogic:
@@ -70,6 +76,8 @@ class IntegrationLogic:
                                 and lisp is not None)
         self._squash_only = not config.general_reuse
         self._oracle_loads = config.lisp_mode is LispMode.ORACLE
+        self._reverse = config.reverse
+        self._reverse_sp_only = config.reverse_sp_only
 
     # ------------------------------------------------------------------
     # the integration test
@@ -82,6 +90,11 @@ class IntegrationLogic:
         ``dyn`` must already have its source physical registers looked up
         (``src_pregs``/``src_gens``).  ``oracle_allow`` implements oracle
         load-suppression when the configuration asks for it.
+
+        One IT probe yields exactly the operationally equivalent entries,
+        most recently used first; the first whose result is still
+        integrable (a resolved branch outcome, or an eligible output
+        register that oracle suppression does not veto) wins.
         """
         if not self._enabled:
             return NO_INTEGRATION
@@ -89,43 +102,38 @@ class IntegrationLogic:
         if not info.integrable:
             return NO_INTEGRATION
         inst = dyn.inst
-
         is_load_op = info.is_load
-        if is_load_op and self._lisp_realistic:
-            if self.lisp.suppresses(inst.pc):
-                return IntegrationDecision(integrate=False,
-                                           suppressed_by_lisp=True)
-
-        candidates = self.table.lookup_inst(inst, call_depth)
-        if not candidates:
+        if is_load_op and self._lisp_realistic \
+                and self.lisp.suppresses(inst.pc):
+            return LISP_SUPPRESSED
+        table = self.table
+        matches = table.probe(inst, call_depth,
+                              (*dyn.src_pregs, *dyn.src_gens))
+        if matches is None:
             return NO_INTEGRATION
 
+        if info.is_cond_branch:
+            for entry in matches:
+                if entry.branch_outcome is not None:
+                    table.touch(entry)
+                    return IntegrationDecision(True, entry)
+            return NO_INTEGRATION
+
+        eligible = self.prf.integration_eligible
         squash_only = self._squash_only
-        is_branch_op = info.is_cond_branch
+        check_oracle = (is_load_op and self._oracle_loads
+                        and oracle_allow is not None)
         oracle_suppressed = False
-        for entry in candidates:
-            if not entry.inputs_match(dyn.src_pregs, dyn.src_gens):
+        for entry in matches:
+            out = entry.out
+            if out is None or not eligible(out, entry.out_gen, squash_only):
                 continue
-            if is_branch_op:
-                if entry.branch_outcome is None:
-                    continue
-            else:
-                if entry.out is None:
-                    continue
-                if not self.prf.integration_eligible(entry.out, entry.out_gen,
-                                                     squash_only=squash_only):
-                    continue
-            if (is_load_op and self._oracle_loads
-                    and oracle_allow is not None
-                    and not oracle_allow(dyn, entry)):
+            if check_oracle and not oracle_allow(dyn, entry):
                 oracle_suppressed = True
                 continue
-            self.table.touch(entry)
-            return IntegrationDecision(integrate=True, entry=entry,
-                                       tag_hit=True,
-                                       suppressed_by_oracle=oracle_suppressed)
-        return IntegrationDecision(integrate=False, tag_hit=True,
-                                   suppressed_by_oracle=oracle_suppressed)
+            table.touch(entry)
+            return IntegrationDecision(True, entry, False, oracle_suppressed)
+        return ORACLE_SUPPRESSED if oracle_suppressed else NO_INTEGRATION
 
     # ------------------------------------------------------------------
     # entry creation (integration failed, or store reverse entries)
@@ -138,69 +146,55 @@ class IntegrationLogic:
         complementary load entry, a stack-pointer ``lda`` creates the entry
         for the opposite adjustment.
         """
-        config = self.config
         if not self._enabled:
             return
-        inst = dyn.inst
-        op = dyn.op
         info = dyn.info
-
         if info.is_store:
             self._maybe_create_store_reverse(dyn, call_depth)
             return
         if not info.integrable:
             return
-
-        in1 = dyn.src_pregs[0] if len(dyn.src_pregs) > 0 else None
-        gen1 = dyn.src_gens[0] if len(dyn.src_gens) > 0 else 0
-        in2 = dyn.src_pregs[1] if len(dyn.src_pregs) > 1 else None
-        gen2 = dyn.src_gens[1] if len(dyn.src_gens) > 1 else 0
-
-        if info.is_cond_branch:
-            entry = ITEntry(inst.pc, op, inst.imm, in1, gen1, in2, gen2,
-                            out=None, out_gen=0, creator_seq=dyn.seq,
-                            call_depth=call_depth)
-            dyn.it_entry = self.table.insert(entry, call_depth)
+        is_branch = info.is_cond_branch
+        out = dyn.dest_preg
+        if out is None and not is_branch:
             return
-
-        if dyn.dest_preg is None:
+        inst = dyn.inst
+        ins = (*dyn.src_pregs, *dyn.src_gens)
+        insert = self.table.insert
+        if is_branch:
+            dyn.it_entry = insert(
+                ITEntry(inst.pc, inst.it_sig, ins, None, 0, False, dyn.seq),
+                call_depth)
             return
-        entry = ITEntry(inst.pc, op, inst.imm, in1, gen1, in2, gen2,
-                        out=dyn.dest_preg, out_gen=dyn.dest_gen,
-                        creator_seq=dyn.seq, call_depth=call_depth)
-        dyn.it_entry = self.table.insert(entry, call_depth)
+        dyn.it_entry = insert(
+            ITEntry(inst.pc, inst.it_sig, ins, out, dyn.dest_gen, False,
+                    dyn.seq),
+            call_depth)
 
         # Reverse entry for stack-pointer adjustments: lda sp, imm(sp)
         # creates <lda/-imm, new_sp, -, old_sp>.
-        if (config.reverse and op is Opcode.LDA
-                and inst.rd == REG_SP and inst.ra == REG_SP):
-            rev = ITEntry(inst.pc, Opcode.LDA, -(inst.imm or 0),
-                          in1=dyn.dest_preg, gen1=dyn.dest_gen,
-                          in2=None, gen2=0,
-                          out=in1, out_gen=gen1,
-                          is_reverse=True, creator_seq=dyn.seq,
-                          call_depth=call_depth)
-            self.table.insert(rev, call_depth)
+        reverse_sig = inst.it_reverse_sig
+        if reverse_sig is not None and self._reverse:
+            insert(ITEntry(inst.pc, reverse_sig, (out, dyn.dest_gen),
+                           dyn.src_pregs[0], dyn.src_gens[0], True, dyn.seq),
+                   call_depth)
 
     def _maybe_create_store_reverse(self, dyn: DynInst,
                                     call_depth: int) -> None:
         """Create the complementary-load entry for a (stack) store."""
-        config = self.config
-        if not config.reverse:
+        if not self._reverse:
             return
         inst = dyn.inst
-        if config.reverse_sp_only and inst.rb != REG_SP:
+        if self._reverse_sp_only and inst.rb != REG_SP:
             return
         # Store sources are [data, base]; the reverse load reads the base and
         # produces the data register.
-        data_preg, base_preg = dyn.src_pregs[0], dyn.src_pregs[1]
-        data_gen, base_gen = dyn.src_gens[0], dyn.src_gens[1]
-        rev = ITEntry(inst.pc, load_counterpart(inst.op), inst.imm,
-                      in1=base_preg, gen1=base_gen, in2=None, gen2=0,
-                      out=data_preg, out_gen=data_gen,
-                      is_reverse=True, creator_seq=dyn.seq,
-                      call_depth=call_depth)
-        self.table.insert(rev, call_depth)
+        pregs = dyn.src_pregs
+        gens = dyn.src_gens
+        self.table.insert(ITEntry(inst.pc, inst.it_reverse_sig,
+                                  (pregs[1], gens[1]), pregs[0], gens[0],
+                                  True, dyn.seq),
+                          call_depth)
 
     # ------------------------------------------------------------------
     # feedback

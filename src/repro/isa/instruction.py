@@ -7,11 +7,21 @@ carrying renamed registers, values and per-stage timestamps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.isa.opcodes import OpClass, OPINFO, is_store
-from repro.isa.registers import reg_name
+from repro.isa.opcodes import (
+    CHECK_NONE,
+    CHECK_VALUE,
+    IntegrationType,
+    OpClass,
+    Opcode,
+    OPINFO,
+    is_store,
+    load_counterpart,
+    signature_of,
+)
+from repro.isa.registers import REG_FZERO, REG_SP, REG_ZERO, reg_name
 
 
 @dataclass(frozen=True)
@@ -39,26 +49,50 @@ class StaticInst:
     target: Optional[int] = None
     label: Optional[str] = None
 
-    # ``info``, ``cls`` and the operand views are precomputed per static
-    # instruction: the per-cycle pipeline loops read them constantly, and an
-    # instance-attribute read is far cheaper than an OPINFO lookup (which
-    # hashes the opcode enum) on every access.
+    # ``info``, ``cls``, the operand views and the rename/retire plans are
+    # precomputed per static instruction: the per-cycle pipeline loops read
+    # them constantly, and an instance-attribute read is far cheaper than an
+    # OPINFO lookup (which hashes the opcode enum) on every access.
     def __post_init__(self):
         info = OPINFO[self.op]
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "cls", info.cls)
+        setattr_ = object.__setattr__      # the class is frozen
+        setattr_(self, "info", info)
+        setattr_(self, "cls", info.cls)
         srcs = []
         if self.ra is not None:
             srcs.append(self.ra)
         if self.rb is not None:
             srcs.append(self.rb)
-        object.__setattr__(self, "srcs", tuple(srcs))
-        object.__setattr__(self, "dest",
-                           self.rd if info.writes_dest else None)
-        # Integration-table index key under opcode/immediate indexing
-        # (repro.integration.table); pure function of the static encoding.
-        object.__setattr__(self, "it_key",
-                           info.opcode_id ^ ((self.imm or 0) & 0xFFFF))
+        setattr_(self, "srcs", tuple(srcs))
+        dest = self.rd if info.writes_dest else None
+        setattr_(self, "dest", dest)
+        #: The logical destination the rename map tracks (``None`` when
+        #: there is none or it is a hard-wired zero register).
+        setattr_(self, "mapped_dest",
+                 None if dest == REG_ZERO or dest == REG_FZERO else dest)
+        # Integration-table signatures (repro.integration.table): the
+        # instruction's own, and that of the inverse operation a reverse
+        # entry describes (extension 3) -- the complementary load of a
+        # store, the opposite adjustment of a stack-pointer ``lda``.
+        imm = self.imm
+        setattr_(self, "it_sig", signature_of(info.opcode_id, imm))
+        reverse_sig = None
+        if info.is_store:
+            reverse_sig = signature_of(
+                OPINFO[load_counterpart(self.op)].opcode_id, imm)
+        elif (self.op is Opcode.LDA and self.rd == REG_SP
+                and self.ra == REG_SP):
+            reverse_sig = signature_of(info.opcode_id, -(imm or 0))
+        setattr_(self, "it_reverse_sig", reverse_sig)
+        # The retire plan: what DIVA compares (nothing without a
+        # destination register) and the Fig. 5 type (stack loads apart).
+        check = info.diva_check
+        setattr_(self, "diva_check",
+                 CHECK_NONE if check == CHECK_VALUE and dest is None
+                 else check)
+        setattr_(self, "itype",
+                 IntegrationType.LOAD_SP if info.is_load and self.ra == REG_SP
+                 else info.itype)
 
     def src_regs(self) -> Tuple[int, ...]:
         """Logical source registers actually read by this instruction."""
@@ -106,26 +140,24 @@ class DynInst:
 
     __slots__ = (
         "seq", "inst", "op", "cls", "info",
-        "pc", "pred_next_pc", "next_pc", "pred_taken",
-        "call_depth",
+        "pc", "next_pc", "call_depth",
         # renaming
         "src_pregs", "src_gens", "dest_preg", "dest_gen", "old_dest_preg",
         "old_dest_gen",
         "map_checkpoint",
         # integration
         "integrated", "reverse_integrated", "integration_distance",
-        "integration_status", "integration_refcount", "it_hit", "it_entry",
-        "suppressed_by_lisp",
+        "integration_status", "integration_refcount", "it_entry",
         # execution state
-        "result", "eff_addr", "store_value",
+        "eff_addr", "store_value",
         "executed", "issued", "completed", "squashed",
         "branch_taken", "branch_mispredicted", "mem_mispeculated",
         "mis_integrated",
         # timing
-        "fetch_cycle", "rename_cycle", "dispatch_cycle", "issue_cycle",
-        "complete_cycle", "retire_cycle",
+        "fetch_cycle", "rename_cycle", "dispatch_cycle", "complete_cycle",
+        "retire_cycle",
         # resources
-        "rs_pending", "rs_port", "rs_priority", "in_lsq", "rob_index",
+        "rs_pending", "rs_port", "rs_priority", "in_lsq",
     )
 
     def __init__(self, seq: int, inst: StaticInst):
@@ -135,12 +167,10 @@ class DynInst:
         self.cls = inst.cls
         self.info = inst.info
         self.pc = inst.pc
-        self.pred_next_pc = None
         self.next_pc = None
-        self.pred_taken = False
         self.call_depth = 0
-        self.src_pregs: List[int] = []
-        self.src_gens: List[int] = []
+        self.src_pregs: Sequence[int] = ()
+        self.src_gens: Sequence[int] = ()
         self.dest_preg: Optional[int] = None
         self.dest_gen: int = 0
         self.old_dest_preg: Optional[int] = None
@@ -151,10 +181,7 @@ class DynInst:
         self.integration_distance = 0
         self.integration_status = None
         self.integration_refcount = 0
-        self.it_hit = False
         self.it_entry = None
-        self.suppressed_by_lisp = False
-        self.result = None
         self.eff_addr = None
         self.store_value = None
         self.executed = False
@@ -168,7 +195,6 @@ class DynInst:
         self.fetch_cycle = -1
         self.rename_cycle = -1
         self.dispatch_cycle = -1
-        self.issue_cycle = -1
         self.complete_cycle = -1
         self.retire_cycle = -1
         #: Source operands still awaited while waiting in the scheduler.
@@ -178,7 +204,6 @@ class DynInst:
         self.rs_priority = 1
         #: Honest load/store-queue membership flag (set/cleared by the LSQ).
         self.in_lsq = False
-        self.rob_index = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

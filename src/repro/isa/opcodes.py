@@ -98,6 +98,35 @@ class Opcode(enum.Enum):
     NOP = "nop"
 
 
+class IntegrationType(str, enum.Enum):
+    """Instruction-type categories of the Figure 5 "Type" breakdown.
+
+    String-valued, so a member hashes as its value in C: retirement counts
+    every instruction under its type, and ``Enum.__hash__`` would cost a
+    Python call per count.
+    """
+
+    LOAD_SP = "load_sp"
+    LOAD_OTHER = "load"
+    ALU = "alu"
+    BRANCH = "branch"
+    FP = "fp"
+
+
+# What the DIVA checker compares at retirement (``diva_check``).  Each kind
+# also names where the timing core's result is observed:
+#: nothing is checked (system calls, nops, direct jumps, no destination);
+CHECK_NONE = 0
+#: the destination physical register's value;
+CHECK_VALUE = 1
+#: the store data (``DynInst.store_value``);
+CHECK_STORE = 2
+#: the conditional branch direction (``DynInst.branch_taken``);
+CHECK_TAKEN = 3
+#: the indirect control target (``DynInst.next_pc``).
+CHECK_NEXT_PC = 4
+
+
 #: Classes that can redirect the PC.
 _BRANCH_CLASSES = frozenset({
     OpClass.COND_BRANCH, OpClass.DIRECT_JUMP, OpClass.CALL_DIRECT,
@@ -186,6 +215,32 @@ class OpInfo:
         else:
             kind = -1            # never enters the reservation stations
         object.__setattr__(self, "kind_code", kind)
+        # The retire plan (see StaticInst, which refines both per
+        # instruction): what DIVA compares, given a destination register,
+        # and the Figure 5 type, with loads counted as non-stack loads.
+        if cls is OpClass.SYSCALL or cls is OpClass.NOP \
+                or cls is OpClass.DIRECT_JUMP:
+            check = CHECK_NONE
+        elif cls is OpClass.STORE:
+            check = CHECK_STORE
+        elif cls is OpClass.COND_BRANCH:
+            check = CHECK_TAKEN
+        elif self.is_indirect_ctl:
+            check = CHECK_NEXT_PC
+        else:                    # ALU, FP, load, direct call link
+            check = CHECK_VALUE if self.writes_dest else CHECK_NONE
+        object.__setattr__(self, "diva_check", check)
+        if cls is OpClass.LOAD:
+            itype = IntegrationType.LOAD_OTHER
+        elif cls is OpClass.COND_BRANCH:
+            itype = IntegrationType.BRANCH
+        elif self.fp:
+            itype = IntegrationType.FP
+        elif cls is OpClass.IALU or cls is OpClass.IMUL:
+            itype = IntegrationType.ALU
+        else:
+            itype = None
+        object.__setattr__(self, "itype", itype)
 
 
 _RR = dict(cls=OpClass.IALU, latency=1, num_srcs=2, has_imm=False)
@@ -267,6 +322,24 @@ OPINFO: dict = {
 for _i, _op in enumerate(Opcode):
     object.__setattr__(OPINFO[_op], "opcode_id", _i)
 del _i, _op
+
+
+def it_signature(op: Opcode, imm) -> tuple:
+    """The integration-table signature of operation ``op``/``imm``.
+
+    ``(it_key, opcode id, immediate)``: ``it_key`` is the opcode/immediate
+    index hash (``opcode id ^ (imm & 0xFFFF)``, paper Section 2.3) and the
+    last two fields are the tag under opcode/immediate indexing.  Static
+    instructions precompute theirs, so the per-rename index and tag are
+    plain tuple reads and the tag compares and hashes as ints.
+    """
+    return signature_of(OPINFO[op].opcode_id, imm)
+
+
+def signature_of(opcode_id: int, imm) -> tuple:
+    """:func:`it_signature` from the opcode's id."""
+    return (opcode_id ^ ((imm or 0) & 0xFFFF), opcode_id, imm)
+
 
 # Mapping from store opcodes to the load opcode that reads back the stored
 # value.  Reverse integration uses this to create the complementary load

@@ -66,8 +66,6 @@ class PhysicalRegisterFile:
         #: events instead of per-cycle scans.
         self.on_ready: Optional[Callable[[int], None]] = None
         # Statistics.
-        self.allocations = 0
-        self.integrations = 0
         self.refcount_saturations = 0
         self.allocation_failures = 0
 
@@ -76,16 +74,12 @@ class PhysicalRegisterFile:
         self.valid[ZERO_PREG] = True
         self.refcount[ZERO_PREG] = 1
         for preg in range(1, num_pregs):
-            self._push_free(preg)
+            self._free_queue.append(preg)
+            self._in_free_queue[preg] = True
 
     # ------------------------------------------------------------------
     # free-list management
     # ------------------------------------------------------------------
-    def _push_free(self, preg: int) -> None:
-        if not self._in_free_queue[preg]:
-            self._free_queue.append(preg)
-            self._in_free_queue[preg] = True
-
     def free_count(self) -> int:
         """Number of registers currently allocatable (reference count zero)."""
         return sum(1 for preg in self._free_queue if self.refcount[preg] == 0)
@@ -104,20 +98,23 @@ class PhysicalRegisterFile:
         increments the generation counter, which invalidates any stale
         integration-table entries naming the register.
         """
-        while self._free_queue:
-            preg = self._free_queue.popleft()
+        free_queue = self._free_queue
+        refcount = self.refcount
+        while free_queue:
+            preg = free_queue.popleft()
             self._in_free_queue[preg] = False
-            if self.refcount[preg] != 0:
+            if refcount[preg]:
                 # The register was re-referenced (integrated) while it sat on
                 # the free queue; it is no longer allocatable.
                 continue
-            self.allocations += 1
-            self.gen[preg] = (self.gen[preg] + 1) & self.gen_mask
-            self.refcount[preg] = 1
-            self.valid[preg] = True
+            gen = self.gen
+            gen[preg] = (gen[preg] + 1) & self.gen_mask
+            refcount[preg] = 1
             self.ready[preg] = ready
             self.values[preg] = value
-            self.zero_via_squash[preg] = False
+            # ``valid`` and ``zero_via_squash`` describe a register with no
+            # references only; release() sets both when its count drops
+            # to zero, so they are not written here.
             return preg
         self.allocation_failures += 1
         return None
@@ -135,7 +132,6 @@ class PhysicalRegisterFile:
             self.refcount_saturations += 1
             return False
         self.refcount[preg] += 1
-        self.integrations += 1
         return True
 
     def release(self, preg: int, via_squash: bool = False) -> None:
@@ -147,13 +143,19 @@ class PhysicalRegisterFile:
         """
         if preg == ZERO_PREG:
             return
-        if self.refcount[preg] <= 0:
+        refcount = self.refcount
+        count = refcount[preg]
+        if count <= 0:
             raise RuntimeError(f"reference underflow on p{preg}")
-        self.refcount[preg] -= 1
-        if self.refcount[preg] == 0:
-            self.valid[preg] = self.ready[preg]
-            self.zero_via_squash[preg] = via_squash and self.valid[preg]
-            self._push_free(preg)
+        count -= 1
+        refcount[preg] = count
+        if count == 0:
+            valid = self.ready[preg]
+            self.valid[preg] = valid
+            self.zero_via_squash[preg] = via_squash and valid
+            if not self._in_free_queue[preg]:
+                self._free_queue.append(preg)
+                self._in_free_queue[preg] = True
 
     # ------------------------------------------------------------------
     # values

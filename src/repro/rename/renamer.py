@@ -66,64 +66,39 @@ class Renamer:
     # ------------------------------------------------------------------
     def lookup_sources(self, dyn: DynInst) -> Tuple[List[int], List[int]]:
         """Fill in (and return) the physical registers and generations of the
-        instruction's logical sources."""
-        pregs: List[int] = []
-        gens: List[int] = []
-        get_raw = self.map_table.get_raw
-        for logical in dyn.inst.srcs:
-            if is_zero_reg(logical):
-                pregs.append(ZERO_PREG)
-                gens.append(0)
-            else:
-                preg, gen = get_raw(logical)
-                pregs.append(preg)
-                gens.append(gen)
+        instruction's logical sources.  The zero registers are never
+        renamed, so they read as ``ZERO_PREG`` at generation 0."""
+        mt_pregs = self.map_table._pregs
+        mt_gens = self.map_table._gens
+        srcs = dyn.inst.srcs
+        pregs = [mt_pregs[logical] for logical in srcs]
+        gens = [mt_gens[logical] for logical in srcs]
         dyn.src_pregs = pregs
         dyn.src_gens = gens
         return pregs, gens
 
-    def _record_old_mapping(self, dyn: DynInst, logical: int) -> None:
-        dyn.old_dest_preg, dyn.old_dest_gen = self.map_table.get_raw(logical)
-
-    def rename_dest(self, dyn: DynInst) -> int:
+    def allocate_dest(self, dyn: DynInst) -> Optional[RenameResult]:
         """Conventionally rename the destination (claim a new register).
 
-        Returns ``-1`` when no physical register is free (rename must
-        stall), ``0`` for instructions without a register destination
-        (stores, branches, writes to the zero register), ``1`` when a
-        register was allocated.  The allocation-free int code is what the
-        per-instruction rename loop branches on.
+        Returns ``None`` when no physical register is free (rename must
+        stall); a :class:`RenameResult` otherwise.  The rename stage
+        performs the same map-table update inline.
         """
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest):
-            dyn.dest_preg = None
-            return 0
-        prf = self.prf
-        preg = prf.allocate()
+        dest = dyn.inst.mapped_dest
+        if dest is None:
+            return RenameResult(allocated=False, integrated=False, preg=None,
+                                gen=0)
+        preg = self.prf.allocate()
         if preg is None:
-            return -1
+            return None
         map_table = self.map_table
         dyn.old_dest_preg, dyn.old_dest_gen = map_table.get_raw(dest)
-        gen = prf.gen[preg]
+        gen = self.prf.gen[preg]
         dyn.dest_preg = preg
         dyn.dest_gen = gen
         map_table.set(dest, preg, gen)
-        return 1
-
-    def allocate_dest(self, dyn: DynInst) -> Optional[RenameResult]:
-        """:meth:`rename_dest` wrapped in the richer result record.
-
-        Returns ``None`` when no physical register is free (rename must
-        stall); a :class:`RenameResult` otherwise.
-        """
-        code = self.rename_dest(dyn)
-        if code < 0:
-            return None
-        if code == 0:
-            return RenameResult(allocated=False, integrated=False, preg=None,
-                                gen=0)
-        return RenameResult(allocated=True, integrated=False,
-                            preg=dyn.dest_preg, gen=dyn.dest_gen)
+        return RenameResult(allocated=True, integrated=False, preg=preg,
+                            gen=gen)
 
     def integrate_dest(self, dyn: DynInst, preg: int, gen: int) -> bool:
         """Integrate: point the destination at an existing physical register.
@@ -131,14 +106,14 @@ class Renamer:
         Returns False if the reference counter is saturated, in which case
         the caller falls back to :meth:`allocate_dest`.
         """
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest):
+        dest = dyn.inst.mapped_dest
+        if dest is None:
             # Integration of a branch (no register output): nothing to map.
             dyn.dest_preg = None
             return True
         if not self.prf.add_ref(preg):
             return False
-        self._record_old_mapping(dyn, dest)
+        dyn.old_dest_preg, dyn.old_dest_gen = self.map_table.get_raw(dest)
         dyn.dest_preg = preg
         dyn.dest_gen = gen
         self.map_table.set(dest, preg, gen)
@@ -151,10 +126,9 @@ class Renamer:
         """Retire ``dyn``: the previous (shadowed) mapping of its destination
         logical register ceases to be visible and drops one reference.  The
         instruction's own output keeps its reference (it is now the retired
-        architectural mapping)."""
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest) or dyn.dest_preg is None:
-            return
+        architectural mapping).  Only a renamed destination records a
+        previous mapping; the commit stage performs the same release
+        inline."""
         if dyn.old_dest_preg is not None:
             self.prf.release(dyn.old_dest_preg, via_squash=False)
 
@@ -165,8 +139,8 @@ class Renamer:
         restores the map table and reference vector exactly as the paper's
         serial ROB-walk recovery does.
         """
-        dest = dyn.inst.dest
-        if dest is None or is_zero_reg(dest) or dyn.dest_preg is None:
+        dest = dyn.inst.mapped_dest
+        if dest is None or dyn.dest_preg is None:
             return
         self.prf.release(dyn.dest_preg, via_squash=True)
         self.map_table.restore_entry(

@@ -202,9 +202,7 @@ class TestDivaChecker:
         checker = DivaChecker(arch)
         inst = StaticInst(pc=0, op=Opcode.ADDQI, rd=1, ra=31, imm=5)
         d = DynInst(1, inst)
-        step, fault = checker.check_and_commit(d, observed_value=99,
-                                               observed_taken=None,
-                                               observed_next_pc=None)
+        step, fault = checker.check_and_commit(d, observed=99)
         assert fault is not None and fault.kind == "value"
         assert step.dest_value == 5
         assert arch.read_reg(1) == 5           # architectural state corrected
@@ -213,7 +211,7 @@ class TestDivaChecker:
         arch = ArchState(pc=0)
         checker = DivaChecker(arch)
         inst = StaticInst(pc=0, op=Opcode.ADDQI, rd=1, ra=31, imm=5)
-        _, fault = checker.check_and_commit(DynInst(1, inst), 5, None, None)
+        _, fault = checker.check_and_commit(DynInst(1, inst), 5)
         assert fault is None
         assert arch.pc == 4
 
@@ -221,9 +219,8 @@ class TestDivaChecker:
         arch = ArchState(pc=0)
         checker = DivaChecker(arch)
         inst = StaticInst(pc=0, op=Opcode.BEQ, ra=31, imm=16, target=20)
-        _, fault = checker.check_and_commit(DynInst(1, inst), None,
-                                            observed_taken=False,
-                                            observed_next_pc=None)
+        _, fault = checker.check_and_commit(DynInst(1, inst),
+                                            observed=False)
         assert fault is not None and fault.kind == "branch"
         assert fault.correct_next_pc == 20
 
@@ -232,7 +229,7 @@ class TestDivaChecker:
         checker = DivaChecker(arch)
         inst = StaticInst(pc=0, op=Opcode.NOP)
         with pytest.raises(SimulationError):
-            checker.check_and_commit(DynInst(1, inst), None, None, None)
+            checker.check_and_commit(DynInst(1, inst), None)
 
 
 class TestMachineConfigPresets:

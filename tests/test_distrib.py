@@ -613,6 +613,26 @@ class TestProfiling:
         assert "hot-path highlights" in text
         assert "stages/execute.py" in text
 
+    def test_every_hot_path_pin_resolves(self):
+        """A pinned function that was renamed or folded away must fail
+        loudly, not drop out of ``repro profile --diff`` silently."""
+        from repro.analysis import profiling
+
+        targets = profiling.hot_path_targets()
+        assert len(targets) == sum(
+            len(names) for _, names in profiling.hot_path_pins())
+        assert {"consider", "create_entries", "probe", "insert",
+                "check_and_commit"} <= {name for _, name in targets}
+
+    def test_stale_hot_path_pin_raises(self, monkeypatch):
+        from repro.analysis import profiling
+        from repro.core.stages.commit import CommitDiva
+
+        monkeypatch.setattr(profiling, "hot_path_pins",
+                            lambda: ((CommitDiva, ("_retire_commit",)),))
+        with pytest.raises(LookupError, match="_retire_commit"):
+            profiling.hot_path_targets()
+
     def test_profile_cli(self, isolated_cache, capsys):
         from repro.__main__ import main
 

@@ -13,6 +13,7 @@ from repro.integration import (
     LoadIntegrationSuppressionPredictor,
 )
 from repro.isa import Opcode, StaticInst
+from repro.isa.opcodes import it_signature
 from repro.isa.instruction import DynInst
 from repro.isa.registers import REG_SP
 from repro.rename import PhysicalRegisterFile
@@ -20,8 +21,8 @@ from repro.rename import PhysicalRegisterFile
 
 def entry(opcode=Opcode.ADDQI, imm=1, pc=0x100, in1=5, gen1=0, out=9,
           out_gen=0, **kwargs):
-    return ITEntry(pc=pc, opcode=opcode, imm=imm, in1=in1, gen1=gen1,
-                   in2=None, gen2=0, out=out, out_gen=out_gen, **kwargs)
+    return ITEntry(pc=pc, sig=it_signature(opcode, imm), ins=(in1, gen1),
+                   out=out, out_gen=out_gen, **kwargs)
 
 
 class TestIntegrationTable:

@@ -15,6 +15,8 @@ from repro.core.stats import IntegrationType
 from repro.functional import Emulator
 from repro.integration import IntegrationConfig, IndexScheme, LispMode
 from repro.isa import assemble
+from repro.isa.registers import REG_FZERO, REG_ZERO
+from repro.rename.physical import ZERO_PREG
 from repro.workloads import (
     array_sum,
     build_workload,
@@ -76,6 +78,18 @@ def test_architectural_state_matches(kernel_name):
     assert proc.arch.memory.snapshot() == ref.state.memory.snapshot()
     # Architectural registers agree too.
     assert proc.arch.registers_snapshot() == ref.state.registers_snapshot()
+
+
+@pytest.mark.parametrize("kernel_name", ["fib", "save_restore"])
+def test_zero_registers_stay_mapped_to_the_zero_register(kernel_name):
+    """Rename reads every source, the zero registers included, straight
+    from the map: they must map to ZERO_PREG at generation 0 all run long,
+    mis-integration repairs and squashes included."""
+    proc = Processor(KERNELS[kernel_name],
+                     MachineConfig().with_integration(IntegrationConfig.full()))
+    proc.run()
+    for logical in (REG_ZERO, REG_FZERO):
+        assert proc.map_table.get_raw(logical) == (ZERO_PREG, 0)
 
 
 def test_integration_never_slows_retirement_count():

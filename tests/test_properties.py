@@ -5,7 +5,7 @@ equivalence of the timing core for randomly generated straight-line
 programs."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import MachineConfig, simulate
 from repro.functional import Emulator
@@ -16,7 +16,8 @@ from repro.integration import (
     ITEntry,
     LoadIntegrationSuppressionPredictor,
 )
-from repro.isa import Opcode, ProgramBuilder
+from repro.isa import Opcode, ProgramBuilder, StaticInst
+from repro.isa.opcodes import it_signature
 from repro.isa import semantics
 from repro.memsys import Cache, CacheConfig
 from repro.rename import PhysicalRegisterFile, ZERO_PREG
@@ -117,6 +118,95 @@ class TestPhysicalRegisterFileProperties:
         assert prf.refcount[preg] == prf.max_refcount == (1 << width) - 1
 
 
+_OPCODE_POSITION = {op: i for i, op in enumerate(Opcode)}
+
+
+class _LinearScanIT:
+    """Reference LRU integration table: every entry carries a use
+    timestamp; a query scans its set for tag (and input) matches and sorts
+    them most recent first; the victim is the entry with the oldest
+    stamp."""
+
+    def __init__(self, entries, assoc, scheme):
+        if assoc == 0 or assoc >= entries:
+            assoc = entries
+        self.assoc = assoc
+        self.num_sets = entries // assoc
+        self.scheme = scheme
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.fields = {}      # entry -> (pc, opcode, imm, pregs, gens, out)
+        self.stamp = {}
+        self.clock = 0
+        self.evictions = 0
+
+    def _index(self, pc, opcode, imm, depth):
+        if self.scheme is IndexScheme.PC:
+            key = pc // 4
+        else:
+            key = _OPCODE_POSITION[opcode] ^ ((imm or 0) & 0xFFFF)
+            if self.scheme is IndexScheme.OPCODE_IMM_CALLDEPTH:
+                key ^= depth
+        return key % self.num_sets
+
+    def _tag_match(self, entry, pc, opcode, imm):
+        e_pc, e_op, e_imm = self.fields[entry][:3]
+        if self.scheme is IndexScheme.PC:
+            return e_pc == pc
+        return e_op is opcode and e_imm == imm
+
+    def _recent_first(self, entries):
+        return sorted(entries, key=self.stamp.__getitem__, reverse=True)
+
+    def insert(self, entry, fields, depth):
+        cache_set = self.sets[self._index(*fields[:3], depth)]
+        self.fields[entry] = fields
+        self.touch(entry)
+        if len(cache_set) >= self.assoc:
+            victim = min(cache_set, key=self.stamp.__getitem__)
+            cache_set.remove(victim)
+            self.evictions += 1
+        cache_set.append(entry)
+
+    def touch(self, entry):
+        self.clock += 1
+        self.stamp[entry] = self.clock
+
+    def tag_matches(self, pc, opcode, imm, depth):
+        cache_set = self.sets[self._index(pc, opcode, imm, depth)]
+        return self._recent_first(
+            e for e in cache_set if self._tag_match(e, pc, opcode, imm))
+
+    def candidates(self, pc, opcode, imm, pregs, gens, depth):
+        return [e for e in self.tag_matches(pc, opcode, imm, depth)
+                if self.fields[e][3:5] == (pregs, gens)]
+
+    def invalidate(self, out):
+        removed = 0
+        for cache_set in self.sets:
+            for entry in [e for e in cache_set if self.fields[e][5] == out]:
+                cache_set.remove(entry)
+                removed += 1
+        return removed
+
+    def sets_mru_first(self):
+        return [self._recent_first(cache_set) for cache_set in self.sets]
+
+
+# Small pools, so entries often share a set, a tag or a whole key.
+_it_pcs = st.sampled_from([0x0, 0x10])
+_it_opcodes = st.sampled_from([Opcode.ADDQI, Opcode.LDA])
+_it_imms = st.sampled_from([0, 8])
+_it_inputs = st.sampled_from([((5,), (0,)), ((5, 6), (0, 1)), ((), ())])
+_it_outs = st.integers(min_value=7, max_value=9)
+_it_depths = st.integers(min_value=0, max_value=1)
+_it_insert = st.tuples(st.just("insert"), _it_pcs, _it_opcodes, _it_imms,
+                       _it_inputs, _it_outs, _it_depths)
+_it_probe = st.tuples(st.just("probe"), _it_pcs, _it_opcodes, _it_imms,
+                      _it_inputs, _it_depths, st.frozensets(_it_outs))
+_it_ops = st.one_of(_it_insert, _it_probe, _it_insert, _it_probe,
+                    st.tuples(st.just("invalidate"), _it_outs))
+
+
 class TestIntegrationTableProperties:
     @given(entries=st.integers(min_value=1, max_value=60),
            assoc=st.sampled_from([1, 2, 4, 0]),
@@ -125,13 +215,61 @@ class TestIntegrationTableProperties:
         size = 64
         table = IntegrationTable(size, assoc, scheme)
         for i in range(entries * 4):
-            entry = ITEntry(pc=4 * i, opcode=Opcode.ADDQI, imm=i % 7,
-                            in1=i % 30, gen1=0, in2=None, gen2=0,
-                            out=i % 50, out_gen=0)
+            entry = ITEntry(pc=4 * i, sig=it_signature(Opcode.ADDQI, i % 7),
+                            ins=(i % 30, 0), out=i % 50, out_gen=0)
             table.insert(entry, call_depth=i % 5)
         assert table.occupancy() <= size
         for cache_set in table._sets:
             assert len(cache_set) <= table.assoc
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.sampled_from([4, 8, 16]),
+           assoc=st.sampled_from([1, 2, 4, 0]),
+           scheme=st.sampled_from(list(IndexScheme)),
+           ops=st.lists(_it_ops, min_size=1, max_size=60))
+    # Refreshing the older of two same-key entries must reorder its bucket.
+    @example(entries=4, assoc=0, scheme=IndexScheme.OPCODE_IMM, ops=[
+        ("insert", 0x0, Opcode.ADDQI, 8, ((5,), (0,)), 7, 0),
+        ("insert", 0x4, Opcode.ADDQI, 8, ((5,), (0,)), 8, 0),
+        ("probe", 0x0, Opcode.ADDQI, 8, ((5,), (0,)), 0, frozenset({7})),
+        ("probe", 0x0, Opcode.ADDQI, 8, ((5,), (0,)), 0, frozenset())])
+    def test_table_matches_linear_scan_lru_model(self, entries, assoc,
+                                                 scheme, ops):
+        """The keyed, MRU-ordered table gives the same candidates in the
+        same order, the same winners and the same evictions as a plain
+        per-entry-timestamp LRU table that scans and sorts its sets."""
+        table = IntegrationTable(entries, assoc, scheme)
+        model = _LinearScanIT(entries, assoc, scheme)
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                _, pc, opcode, imm, (pregs, gens), out, depth = op
+                entry = ITEntry(pc, it_signature(opcode, imm),
+                                (*pregs, *gens), out, 0)
+                table.insert(entry, depth)
+                model.insert(entry, (pc, opcode, imm, pregs, gens, out),
+                             depth)
+            elif kind == "probe":
+                _, pc, opcode, imm, (pregs, gens), depth, eligible = op
+                inst = StaticInst(pc=pc, op=opcode, rd=1, ra=2, imm=imm)
+                found = table.probe(inst, depth, (*pregs, *gens)) or []
+                expected = model.candidates(pc, opcode, imm, pregs, gens,
+                                            depth)
+                assert found == expected
+                # The integration logic's winner: the first candidate whose
+                # result is still eligible, refreshed on use.
+                winner = next((e for e in found if e.out in eligible), None)
+                if winner is not None:
+                    table.touch(winner)
+                    model.touch(winner)
+                assert (table.lookup(pc, opcode, imm, depth)
+                        == model.tag_matches(pc, opcode, imm, depth))
+            else:
+                _, out = op
+                assert table.invalidate_output(out) == model.invalidate(out)
+            assert table.stats.evictions == model.evictions
+            assert [list(s) for s in table._sets] == model.sets_mru_first()
+        assert table.occupancy() == sum(map(len, model.sets))
 
     @given(pcs=st.lists(st.integers(min_value=0, max_value=4000).map(
         lambda x: x * 4), min_size=1, max_size=50))
