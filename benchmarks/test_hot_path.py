@@ -59,8 +59,8 @@ def test_simulate_memory_bound(benchmark):
     The memory latency is raised from the paper-era 80 cycles to a
     modern-memory-wall 400 so the quiescent spans dominate (98% of cycles
     are elidable).  This is the showcase (and the regression tripwire) for
-    event-horizon cycle elision: most of its wall-clock is spent in cycles
-    the elision driver can jump over arithmetically.
+    the run loop's horizon jumps: most of its simulated cycles are jumped
+    over arithmetically instead of stepped.
     """
     config = replace(MachineConfig(),
                      memsys=replace(MemSysConfig(), memory_latency=400))

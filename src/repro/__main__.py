@@ -391,9 +391,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one benchmark's pipeline events (``repro trace``).
 
     Writes ``<prefix>.jsonl`` (one lifecycle event per line) and
-    ``<prefix>.kanata`` (a Konata-viewer pipetrace).  Tracing forces the
-    per-cycle driver (no span elision), so expect traced runs to be
-    slower than ``repro run``; statistics are bit-identical either way.
+    ``<prefix>.kanata`` (a Konata-viewer pipetrace).  Statistics are
+    bit-identical to an untraced run.
     """
     from repro.core import MachineConfig, simulate
     from repro.experiments import runner
@@ -827,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "findings instead of failing on them")
     p_lint.add_argument("--rules", default=None, metavar="LIST",
                         help="comma-separated rule ids to run (default: "
-                             "all six; see docs/ARCHITECTURE.md)")
+                             "all four; see docs/ARCHITECTURE.md)")
     p_lint.add_argument("--root", default=None, metavar="DIR",
                         help="repository checkout to lint (default: the "
                              "tree this package was imported from)")

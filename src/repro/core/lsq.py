@@ -29,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import kernel
 from repro.core.window import Window
 from repro.functional.memory import WORD_SIZE
 from repro.isa.instruction import DynInst
@@ -101,13 +100,6 @@ class LoadStoreQueue:
         self._stores_by_addr: Dict[int, List[int]] = {}
         #: aligned addr -> sorted seqs of executed loads.
         self._loads_by_addr: Dict[int, List[int]] = {}
-        # Optional compiled probe loops (REPRO_KERNEL=compiled); both are
-        # bit-identical reimplementations of the Python paths below.
-        self._kernel_forward = self._kernel_unresolved = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_forward = module.lsq_forward_from
-            self._kernel_unresolved = module.lsq_older_unresolved
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -241,10 +233,6 @@ class LoadStoreQueue:
         store has not produced its data yet (the load must wait).
         """
         win = self.window
-        if self._kernel_forward is not None:
-            return self._kernel_forward(self._stores_by_addr, self._by_seq,
-                                        win.mem_data_ready, win.mask,
-                                        dyn.seq, addr & _ALIGN_MASK)
         stores = self._stores_by_addr.get(addr & _ALIGN_MASK)
         if not stores:
             return None, True
@@ -257,8 +245,6 @@ class LoadStoreQueue:
 
     def older_stores_unresolved(self, dyn: DynInst) -> bool:
         """True when any older store has not yet resolved its address."""
-        if self._kernel_unresolved is not None:
-            return self._kernel_unresolved(self._unresolved_stores, dyn.seq)
         unresolved = self._unresolved_stores
         return bool(unresolved) and unresolved[0] < dyn.seq
 

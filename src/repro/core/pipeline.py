@@ -21,51 +21,25 @@ is ready and then pass through DIVA and retirement like everything else.
 
 Each simulated cycle runs writeback, commit, issue, rename and fetch -- in
 that order, so results written back in cycle N are visible to retirement in
-the same cycle, matching the seed model exactly.
+the same cycle, matching the seed model exactly.  :meth:`Processor.step` is
+that one per-cycle body.  The run loop calls it on every cycle where some
+stage could act, and jumps the clock across the quiescent spans in between
+(each stage reports its ``horizon``: the earliest cycle it could act).
 """
 
 from __future__ import annotations
 
 import gc
-import os
-from heapq import heappop
 from typing import Optional, Tuple
 
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.diva import SimulationError
 from repro.core.stages import Stage
-from repro.core.stages.commit import CommitDiva
-from repro.core.stages.execute import IssueExecute
-from repro.core.stages.frontend import FrontEnd
-from repro.core.stages.rename import RenameIntegrate
 from repro.core.stats import SimStats
 from repro.functional.state import ArchState
 from repro.isa.program import Program
-from repro.obs.cpi import (
-    CPI_FRONTEND_EMPTY,
-    CPI_MEMORY,
-    CPI_RENAME_STALL,
-    CPI_RETIRED,
-    CPI_WAITING_OPERANDS,
-    classify_stall,
-)
-
-
-def fast_path_enabled() -> bool:
-    """Validated accessor for ``REPRO_FAST_PATH`` (the only place it is
-    read): any value but ``0`` keeps the fused quiescent-skipping driver
-    available; ``0`` forces the generic :meth:`Processor.step` loop for
-    equivalence testing."""
-    return os.environ.get("REPRO_FAST_PATH", "1") != "0"
-
-
-def elision_enabled() -> bool:
-    """Validated accessor for ``REPRO_ELIDE`` (the only place it is read):
-    any value but ``0`` lets the fused driver jump the clock across provably
-    quiescent spans (event-horizon cycle elision); ``0`` forces per-cycle
-    iteration for equivalence testing and timing-sensitive debugging."""
-    return os.environ.get("REPRO_ELIDE", "1") != "0"
+from repro.obs.cpi import CPI_RETIRED, classify_stall
 
 
 class Processor:
@@ -90,9 +64,7 @@ class Processor:
                                 initial_state=initial_state)
         self.state = machine.state
         #: Optional :class:`~repro.obs.trace.PipelineTracer` receiving the
-        #: per-instruction lifecycle hooks from every stage.  An active
-        #: tracer disables span elision (there would be no per-cycle events
-        #: to observe inside a jump); results are bit-identical either way.
+        #: per-instruction lifecycle hooks from every stage.
         self.tracer = tracer
         self.state.tracer = tracer
         self.front_end = machine.front_end
@@ -158,285 +130,80 @@ class Processor:
             stats.cpi_stack[classify_stall(state)] += 1
         state.cycle += 1
 
-    def _fast_path_eligible(self) -> bool:
-        """Whether the fused quiescent-skipping loop may drive this machine.
-
-        The fused loop decides *whether* each stage has work from the shared
-        engine state, so it is only used when every stage is exactly the
-        stock implementation (a variant that overrides a stage falls back to
-        the generic :meth:`step` loop) and the scheduler tracks readiness
-        through a bound PRF.  ``REPRO_FAST_PATH=0`` forces the generic loop
-        for equivalence testing.
-        """
-        return (fast_path_enabled()
-                and type(self.front_end) is FrontEnd
-                and type(self.rename_integrate) is RenameIntegrate
-                and type(self.issue_execute) is IssueExecute
-                and type(self.commit_diva) is CommitDiva
-                and self.state.rs._prf is not None)
-
     def _run_phase(self, budget: Optional[int]) -> None:
         """Advance the clock until halt or exactly ``budget`` retirements.
 
         The commit stage refuses to retire past ``state.retire_budget``, so
         the machine stops on a precise architectural instruction boundary
         (the property sharded slices rely on to recombine losslessly).
-        """
-        state = self.state
-        config = self.config
-        state.retire_budget = budget
-        if self._fast_path_eligible():
-            self._run_phase_fast(budget)
-            return
-        while not state.arch.halted:
-            if budget is not None and state.stats.retired >= budget:
-                break
-            if state.cycle >= config.max_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: exceeded {config.max_cycles} cycles")
-            if state.cycle - state.last_retire_cycle > config.deadlock_cycles:
-                raise SimulationError(
-                    f"{self.program.name}: no retirement for "
-                    f"{config.deadlock_cycles} cycles at cycle {state.cycle} "
-                    f"(ROB={len(state.rob)}, RS={state.rs.occupancy})")
-            self.step()
 
-    def _elide_target(self, cycle: int) -> int:
-        """The furthest cycle the clock may jump to from quiescent ``cycle``.
-
-        Returns ``cycle`` itself when the machine is *not* provably
-        quiescent (some stage would do work, or attempt work with side
-        effects, this cycle).  The caller has already established that no
-        writeback event is scheduled for ``cycle`` and the ready pool is
-        empty; this method checks the remaining stages and computes the
-        horizon -- the earliest future cycle at which any stage could act:
-
-        * fetch -- quiescent when halted, the queue is full, or a redirect
-          is in flight (clamps the jump to ``fetch_resume_cycle``);
-        * rename -- quiescent when the queue head has not decoded yet
-          (clamps to its ready cycle) or is structurally blocked on a full
-          ROB/RS/LSQ.  An unblocked head means rename would attempt it
-          -- and an attempt's integration-table probe is not
-          idempotent -- so that is never elided;
-        * commit -- quiescent when the ROB is empty or the head cannot
-          retire.  A head blocked only by the minimum rename-to-retire age
-          clamps the jump to ``rename_cycle + 2``; a retirable head (which
-          would also probe store-port acceptance) is never elided;
-        * events -- the lazily pruned :attr:`IssueExecute.event_cycles`
-          min-heap bounds the jump by the next scheduled wakeup/completion;
-        * run limits -- the jump also stops exactly where the per-cycle
-          loop would raise ``max_cycles`` / deadlock errors.
-
-        Every quiescence condition above changes only through stage activity
-        (events firing, retirement, squash), never with bare time -- the
-        time-dependent conditions are the ones clamped -- so a span that is
-        quiescent at ``cycle`` stays quiescent until the returned target.
-        """
-        state = self.state
-        config = self.config
-        frontend = self.front_end
-        fetch_queue = frontend.fetch_queue
-
-        target = config.max_cycles
-        deadline = state.last_retire_cycle + config.deadlock_cycles + 1
-        if deadline < target:
-            target = deadline
-
-        if (not frontend.fetch_halted
-                and len(fetch_queue) < config.fetch_queue_size):
-            resume = frontend.fetch_resume_cycle
-            if resume <= cycle:
-                return cycle
-            if resume < target:
-                target = resume
-
-        if fetch_queue:
-            head, ready_cycle = fetch_queue[0]
-            if ready_cycle > cycle:
-                if ready_cycle < target:
-                    target = ready_cycle
-            else:
-                rob = state.rob
-                if len(rob._entries) < rob.size:
-                    info = head.info
-                    rs = state.rs
-                    lsq = state.lsq
-                    if not ((info.needs_rs
-                             and len(rs._waiting) >= rs.entries)
-                            or (info.is_mem
-                                and len(lsq._by_seq) >= lsq.size)):
-                        return cycle
-
-        rob_entries = state.rob._entries
-        if rob_entries:
-            head = rob_entries[0]
-            if head.integrated:
-                dest = head.dest_preg
-                blocked = dest is not None and not state.prf.ready[dest]
-            else:
-                blocked = not head.completed
-            if not blocked:
-                earliest = head.rename_cycle + 2
-                if earliest <= cycle:
-                    return cycle
-                if earliest < target:
-                    target = earliest
-
-        execute = self.issue_execute
-        heap = execute.event_cycles
-        while heap and heap[0] <= cycle:
-            heappop(heap)
-        if heap and heap[0] < target:
-            target = heap[0]
-        return target
-
-    def _run_phase_fast(self, budget: Optional[int]) -> None:
-        """The fused per-cycle loop: skip stages with provably no work.
-
-        Per-cycle stage order and semantics are identical to :meth:`step`;
-        the only difference is that a stage whose no-work early-return would
-        fire is never called at all:
-
-        * writeback -- no wakeup/completion event scheduled for this cycle,
-        * commit -- reorder buffer empty,
-        * issue -- ready pool empty (select cannot pick anything; holds for
-          the in-order variant's scheduler too, which stops at the first
-          not-ready instruction),
-        * rename -- fetch queue empty or its head not yet decoded,
-        * fetch -- halted, redirect in flight, or fetch queue full.
-
-        All guards read live engine state that squash/recovery mutate in
-        place, so a redirect or flush in cycle N is reflected by the guards
-        of cycle N+1 exactly as in the generic loop.
-
-        On top of the per-stage skips, a cycle on which *every* stage is
-        provably quiescent (see :meth:`_elide_target`) advances the clock
-        arithmetically to the event horizon in one jump: per-cycle
-        occupancy statistics -- constant across the span, since only stage
-        activity changes them -- are accumulated by multiplication, and the
-        skipped iterations are counted in ``SimStats.cycles_elided``.
-        ``REPRO_ELIDE=0`` disables the jump (bit-identical results either
-        way, only wall-clock changes).
+        Each iteration asks the stages for their ``horizon`` (see
+        :class:`~repro.core.stages.base.Stage`).  When some stage would act
+        now the cycle runs through :meth:`step`; otherwise the clock jumps
+        to the earliest horizon (see :meth:`_jump`).  The execution stage
+        is asked first, so a busy cycle costs one query.  Jumps stop
+        exactly where the per-cycle loop would raise the ``max_cycles`` /
+        deadlock errors.
         """
         state = self.state
         config = self.config
         arch = state.arch
         stats = state.stats
-        execute = self.issue_execute
-        frontend = self.front_end
-        wakeup_events = execute.wakeup_events
-        complete_events = execute.complete_events
-        rs_ready = state.rs._ready
-        rs_waiting = state.rs._waiting
-        rob_entries = state.rob._entries
-        fetch_queue = frontend.fetch_queue
-        fetch_queue_size = config.fetch_queue_size
         max_cycles = config.max_cycles
         deadlock_cycles = config.deadlock_cycles
-        writeback = execute.writeback
-        commit_tick = self.commit_diva.tick
-        execute_tick = execute.tick
-        rename_tick = self.rename_integrate.tick
-        frontend_tick = frontend.tick
-        elide_target = self._elide_target
-        # An active tracer wants one hook call per per-cycle event, and an
-        # elided span by construction has none; forcing REPRO_ELIDE-off
-        # semantics keeps the trace complete (results are bit-identical).
-        elide = elision_enabled() and state.tracer is None
-        classify = classify_stall
-        prf_ready = state.prf.ready
-        occupancy_sum = 0
-        samples = 0
-        elided = 0
-        cpi_retired = 0
-        stalls: dict = {}
-        cycle = state.cycle
-        retired_at = state.last_retire_cycle
-        try:
-            while not arch.halted:
-                if budget is not None and stats.retired >= budget:
-                    break
-                if cycle >= max_cycles:
-                    raise SimulationError(
-                        f"{self.program.name}: exceeded {max_cycles} cycles")
-                if cycle - state.last_retire_cycle > deadlock_cycles:
-                    raise SimulationError(
-                        f"{self.program.name}: no retirement for "
-                        f"{deadlock_cycles} cycles at cycle {cycle} "
-                        f"(ROB={len(rob_entries)}, RS={len(rs_waiting)})")
-                if cycle in wakeup_events or cycle in complete_events:
-                    writeback()
-                elif elide and not rs_ready:
-                    target = elide_target(cycle)
-                    if target > cycle:
-                        span = target - cycle
-                        occupancy_sum += span * len(rs_waiting)
-                        samples += span
-                        elided += span - 1
-                        # Nothing retires inside a quiescent span and every
-                        # classify_stall condition is constant across it
-                        # (the span is clamped before the head's age gate
-                        # opens and before the fetch head decodes), so the
-                        # whole span takes the blame of the current state.
-                        bucket = classify(state)
-                        stalls[bucket] = stalls.get(bucket, 0) + span
-                        cycle = target
-                        state.cycle = cycle
-                        continue
-                if rob_entries:
-                    commit_tick()
-                if rs_ready:
-                    execute_tick()
-                if fetch_queue and fetch_queue[0][1] <= cycle:
-                    rename_tick()
-                if (not frontend.fetch_halted
-                        and cycle >= frontend.fetch_resume_cycle
-                        and len(fetch_queue) < fetch_queue_size):
-                    frontend_tick()
-                occupancy_sum += len(rs_waiting)
-                samples += 1
-                # ``last_retire_cycle`` is stamped by every retirement, so
-                # any move past the ``retired_at`` watermark means this
-                # cycle retired.  The stall branch is an inline mirror of
-                # :func:`repro.obs.cpi.classify_stall` over hoisted locals;
-                # the fast/slow fingerprint equivalence tests (which
-                # include ``cpi_stack``) hold the two in lockstep.
-                if state.last_retire_cycle != retired_at:
-                    retired_at = state.last_retire_cycle
-                    cpi_retired += 1
-                else:
-                    if rob_entries:
-                        head = rob_entries[0]
-                        if head.integrated:
-                            dest = head.dest_preg
-                            if dest is not None and not prf_ready[dest]:
-                                bucket = CPI_WAITING_OPERANDS
-                            else:
-                                bucket = CPI_RENAME_STALL
-                        elif head.completed:
-                            bucket = CPI_RENAME_STALL
-                        elif head.issued and head.info.is_mem:
-                            bucket = CPI_MEMORY
-                        else:
-                            bucket = CPI_WAITING_OPERANDS
-                    else:
-                        bucket = state.stall_cause
-                        if bucket is None:
-                            bucket = CPI_FRONTEND_EMPTY
-                    stalls[bucket] = stalls.get(bucket, 0) + 1
-                cycle += 1
-                state.cycle = cycle
-        finally:
-            stats.rs_occupancy_sum += occupancy_sum
-            stats.rs_occupancy_samples += samples
-            stats.cycles_elided += elided
-            # Flush only non-zero buckets: a zero Counter entry would
-            # serialize (and fingerprint) differently from an absent key.
-            if cpi_retired:
-                stats.cpi_stack[CPI_RETIRED] += cpi_retired
-            cpi_stack = stats.cpi_stack
-            for bucket, count in stalls.items():
-                cpi_stack[bucket] += count
+        issue_horizon = self.issue_execute.horizon
+        other_horizons = (self.commit_diva.horizon,
+                          self.rename_integrate.horizon,
+                          self.front_end.horizon)
+        step = self.step
+        state.retire_budget = budget
+        while not arch.halted:
+            if budget is not None and stats.retired >= budget:
+                break
+            cycle = state.cycle
+            if cycle >= max_cycles:
+                raise SimulationError(
+                    f"{self.program.name}: exceeded {max_cycles} cycles")
+            if cycle - state.last_retire_cycle > deadlock_cycles:
+                raise SimulationError(
+                    f"{self.program.name}: no retirement for "
+                    f"{deadlock_cycles} cycles at cycle {cycle} "
+                    f"(ROB={len(state.rob)}, RS={state.rs.occupancy})")
+            target = issue_horizon(cycle)
+            if target > cycle:
+                deadline = state.last_retire_cycle + deadlock_cycles + 1
+                if deadline < target:
+                    target = deadline
+                if max_cycles < target:
+                    target = max_cycles
+                for horizon in other_horizons:
+                    earliest = horizon(cycle)
+                    if earliest < target:
+                        target = earliest
+                        if target == cycle:
+                            break
+                if target > cycle:
+                    self._jump(target)
+                    continue
+            step()
+
+    def _jump(self, target: int) -> None:
+        """Advance the clock from a quiescent cycle straight to ``target``.
+
+        No stage acts inside the span, so nothing retires and every
+        per-cycle statistic is constant across it: RS occupancy and the
+        :func:`~repro.obs.cpi.classify_stall` blame are added ``span``
+        times in one step.  ``cycles_elided`` counts the iterations the
+        jump saved.
+        """
+        state = self.state
+        stats = state.stats
+        span = target - state.cycle
+        stats.rs_occupancy_sum += span * state.rs.occupancy
+        stats.rs_occupancy_samples += span
+        stats.cycles_elided += span - 1
+        stats.cpi_stack[classify_stall(state)] += span
+        state.cycle = target
 
     def run(self, max_instructions: Optional[int] = None,
             warmup_instructions: int = 0) -> SimStats:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core import kernel
 from repro.core.config import IssuePortConfig
 from repro.core.window import PORT_LOAD, SEQ_MASK, Window
 from repro.isa.instruction import DynInst
@@ -73,13 +72,6 @@ class ReservationStations:
         #: instructions that already issued or squashed; they are skipped
         #: on wakeup via the ``_waiting`` membership test).
         self._watchers: Dict[int, List[int]] = {}
-        # Optional compiled inner loops (REPRO_KERNEL=compiled); both are
-        # bit-identical reimplementations of the Python paths below.
-        self._kernel_select = self._kernel_wakeup = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_select = module.select_ready
-            self._kernel_wakeup = module.wakeup
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -91,6 +83,14 @@ class ReservationStations:
 
     def has_space(self, count: int = 1) -> bool:
         return len(self._waiting) + count <= self.entries
+
+    def may_select(self) -> bool:
+        """Whether :meth:`select` could pick anything now: the ready pool
+        is non-empty (any waiting entry on the scan fallback, which cannot
+        tell without probing operands)."""
+        if self._prf is not None:
+            return bool(self._ready)
+        return bool(self._waiting)
 
     def insert(self, dyn: DynInst) -> None:
         waiting = self._waiting
@@ -144,11 +144,6 @@ class ReservationStations:
         watchers = self._watchers.pop(preg, None)
         if not watchers:
             return
-        if self._kernel_wakeup is not None:
-            win = self.window
-            self._kernel_wakeup(watchers, self._waiting, self._ready,
-                                win.pending, win.mask)
-            return
         waiting = self._waiting
         ready = self._ready
         win = self.window
@@ -190,13 +185,6 @@ class ReservationStations:
             if not ready:
                 return []
             win = self.window
-            if self._kernel_select is not None:
-                return self._kernel_select(ready, waiting, win.sort_key,
-                                           win.port, win.mask,
-                                           self._limits_by_code,
-                                           ports.issue_width,
-                                           self.combined_ldst_port,
-                                           load_can_issue)
             mask = win.mask
             sort_key = win.sort_key
             # Sorting the precomputed ``(priority << SEQ_BITS) | seq`` ints

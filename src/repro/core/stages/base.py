@@ -17,6 +17,7 @@ it is centralised in :class:`RecoveryController`.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.isa.instruction import DynInst
@@ -31,6 +32,9 @@ from repro.obs.cpi import CPI_SQUASH_RECOVERY
 # :mod:`repro.isa.opcodes` -- so the per-cycle loops read attributes instead
 # of hashing enum members into frozensets.
 
+#: The horizon of a stage that cannot act again until another stage does.
+NEVER = sys.maxsize
+
 
 @runtime_checkable
 class Stage(Protocol):
@@ -41,6 +45,16 @@ class Stage(Protocol):
 
     def tick(self) -> None:
         """Advance this stage by one cycle."""
+
+    def horizon(self, cycle: int) -> int:
+        """The earliest cycle this stage could act, as seen at ``cycle``.
+
+        ``cycle`` itself when a tick now could change any state; a later
+        cycle when only the passage of time unblocks the stage; ``NEVER``
+        when only another stage's activity can.  The engine jumps the clock
+        to the minimum over all stages, so the answer must hold for as long
+        as no stage acts.
+        """
 
     def flush(self, redirect_pc: int) -> None:
         """Discard in-flight work after a mis-speculation redirect."""

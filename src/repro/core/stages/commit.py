@@ -10,7 +10,7 @@ evaluation is built on.
 from __future__ import annotations
 
 from repro.core.diva import DivaFault, SimulationError
-from repro.core.stages.base import PipelineState, RecoveryController
+from repro.core.stages.base import NEVER, PipelineState, RecoveryController
 from repro.core.stats import distance_bucket
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import (
@@ -131,6 +131,23 @@ class CommitDiva:
         if retired:
             stats.retired += retired
             state.last_retire_cycle = cycle
+
+    def horizon(self, cycle: int) -> int:
+        """Retirement waits for the ROB head to finish (an event the
+        execution stage schedules), then for its minimum rename-to-retire
+        age.  A retirable head retires, or probes store-port acceptance,
+        now."""
+        head = self.state.rob.head()
+        if head is None:
+            return NEVER
+        if head.integrated:
+            dest = head.dest_preg
+            if dest is not None and not self.state.prf.ready[dest]:
+                return NEVER
+        elif not head.completed:
+            return NEVER
+        earliest = head.rename_cycle + 2
+        return earliest if earliest > cycle else cycle
 
     def flush(self, redirect_pc: int) -> None:
         """Retirement is in-order and architectural; nothing speculative to

@@ -15,12 +15,11 @@ performs no enum hashing and builds no intermediate operand lists.
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Dict, List
 
-from repro.core import kernel
 from repro.core.diva import SimulationError
-from repro.core.stages.base import PipelineState, RecoveryController
+from repro.core.stages.base import NEVER, PipelineState, RecoveryController
 from repro.isa import semantics
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import OpClass
@@ -39,16 +38,9 @@ class IssueExecute:
         self.recovery = recovery
         self.wakeup_events: Dict[int, List] = {}
         self.complete_events: Dict[int, List[DynInst]] = {}
-        #: Min-heap of cycles with scheduled events (lazily pruned); the
-        #: quiescent fast path in the engine uses it to jump the clock to
-        #: the next cycle with work.
+        #: Min-heap of cycles with scheduled events (lazily pruned by
+        #: :meth:`horizon`, which reports the next cycle with work).
         self.event_cycles: List[int] = []
-        # Optional compiled writeback drain (REPRO_KERNEL=compiled); a
-        # bit-identical reimplementation of the Python loop in writeback.
-        self._kernel_drain = None
-        backend, module = kernel.select_backend()
-        if backend == "compiled":
-            self._kernel_drain = module.drain_wakeups
 
     # ==================================================================
     # writeback: wakeups and completions scheduled in earlier cycles
@@ -58,16 +50,11 @@ class IssueExecute:
         cycle = state.cycle
         wakeups = self.wakeup_events.pop(cycle, None)
         if wakeups:
-            if self._kernel_drain is not None:
-                prf = state.prf
-                self._kernel_drain(wakeups, prf.values, prf.ready,
-                                   prf.on_ready)
-            else:
-                set_value = state.prf.set_value
-                for dyn, value in wakeups:
-                    if dyn.squashed or dyn.dest_preg is None:
-                        continue
-                    set_value(dyn.dest_preg, value)
+            set_value = state.prf.set_value
+            for dyn, value in wakeups:
+                if dyn.squashed or dyn.dest_preg is None:
+                    continue
+                set_value(dyn.dest_preg, value)
         completions = self.complete_events.pop(cycle, None)
         if completions:
             for dyn in completions:
@@ -139,6 +126,18 @@ class IssueExecute:
             execute = self._execute
             for dyn in selected:
                 execute(dyn)
+
+    def horizon(self, cycle: int) -> int:
+        """Writeback acts on cycles with scheduled events, issue whenever
+        the ready pool is non-empty; otherwise the next event is the
+        earliest either could act."""
+        if (cycle in self.wakeup_events or cycle in self.complete_events
+                or self.state.rs.may_select()):
+            return cycle
+        heap = self.event_cycles
+        while heap and heap[0] <= cycle:
+            heappop(heap)
+        return heap[0] if heap else NEVER
 
     def flush(self, redirect_pc: int) -> None:
         """Scheduled events survive a squash; squashed producers are

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Tuple
 
-from repro.core.stages.base import PipelineState
+from repro.core.stages.base import NEVER, PipelineState
 from repro.isa.instruction import DynInst
 from repro.isa.program import INST_SIZE
 
@@ -91,6 +91,15 @@ class FrontEnd:
                 append((dyn, ready_cycle))
         self.fetch_pc = fetch_pc
         state.stats.fetched += fetched
+
+    def horizon(self, cycle: int) -> int:
+        """Fetch waits out a redirect; a halted front end or a full queue
+        waits for a flush or for rename to drain it."""
+        if (self.fetch_halted or len(self.fetch_queue)
+                >= self.state.config.fetch_queue_size):
+            return NEVER
+        resume = self.fetch_resume_cycle
+        return resume if resume > cycle else cycle
 
     # ------------------------------------------------------------------
     def flush(self, redirect_pc: int) -> None:

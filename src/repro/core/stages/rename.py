@@ -19,7 +19,7 @@ operations the unit tests exercise.
 
 from __future__ import annotations
 
-from repro.core.stages.base import PipelineState, RecoveryController
+from repro.core.stages.base import NEVER, PipelineState, RecoveryController
 from repro.core.stages.frontend import FrontEnd
 from repro.core.stats import ResultStatus
 from repro.integration.config import LispMode
@@ -49,9 +49,9 @@ class RenameIntegrate:
     def tick(self) -> None:
         state = self.state
         fetch_queue = self.frontend.fetch_queue
-        if not fetch_queue:
-            return
         cycle = state.cycle
+        if not fetch_queue or fetch_queue[0][1] > cycle:
+            return
         rob_entries = state.rob._entries
         rob_start = len(rob_entries)
         # Each renamed instruction enters the ROB, so the group ends at the
@@ -152,6 +152,25 @@ class RenameIntegrate:
             if tracer is not None:
                 tracer.on_rename(dyn, cycle)
         state.stats.renamed += len(rob_entries) - rob_start
+
+    def horizon(self, cycle: int) -> int:
+        """Rename waits for the queue head to decode, then for ROB, RS and
+        LSQ space (freed only by other stages).  An unblocked head is
+        attempted now: the attempt's integration-table probe is not
+        idempotent, so it is never skipped."""
+        fetch_queue = self.frontend.fetch_queue
+        if not fetch_queue:
+            return NEVER
+        head, ready_cycle = fetch_queue[0]
+        if ready_cycle > cycle:
+            return ready_cycle
+        state = self.state
+        info = head.info
+        if (state.rob.full
+                or info.needs_rs and not state.rs.has_space()
+                or info.is_mem and not state.lsq.has_space()):
+            return NEVER
+        return cycle
 
     def flush(self, redirect_pc: int) -> None:
         """Rename holds no inter-cycle state; nothing to discard."""

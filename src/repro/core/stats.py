@@ -49,10 +49,10 @@ class SimStats:
 
     # Global progress.
     cycles: int = 0
-    #: Cycles the fused driver advanced arithmetically instead of iterating
-    #: (event-horizon elision).  A driver-mechanics counter: machine
-    #: behaviour is bit-identical with elision on or off, so this field is
-    #: excluded from the cross-driver equivalence fingerprint.
+    #: Cycles the run loop jumped over instead of stepping (quiescent spans
+    #: up to the stages' horizons).  A driver-mechanics counter: every other
+    #: field is bit-identical to calling ``Processor.step()`` every cycle,
+    #: which reports zero here.
     cycles_elided: int = 0
     fetched: int = 0
     renamed: int = 0
@@ -100,9 +100,9 @@ class SimStats:
     # bucket from :mod:`repro.obs.cpi` (``retired`` / ``frontend_empty`` /
     # ``rename_stall`` / ``waiting_operands`` / ``memory`` /
     # ``integration_replay`` / ``squash_recovery``), so the stack's values
-    # always sum to ``cycles``.  Keys are plain strings; elided spans are
+    # always sum to ``cycles``.  Keys are plain strings; jumped spans are
     # attributed arithmetically (span x blame of the quiescent state), so
-    # the stack is bit-identical with elision on or off and merges
+    # the stack is bit-identical to stepping every cycle and merges
     # losslessly across shards like every other Counter.
     cpi_stack: Counter = field(default_factory=Counter)
 

@@ -329,10 +329,10 @@ def _simulate(benchmark: str, config: MachineConfig, scale: float) -> SimStats:
 def _record_cycles(stats: SimStats) -> SimStats:
     """Fold one simulation's cycle counts into the run telemetry.
 
-    ``cycles_elided`` tracks how much of the simulated time the
-    event-horizon driver jumped rather than stepped -- the ``--verbose``
-    summary reports the fraction so a perf investigation can see at a
-    glance whether elision engaged.
+    ``cycles_elided`` tracks how much of the simulated time the run loop
+    jumped rather than stepped -- the ``--verbose`` summary reports the
+    fraction so a perf investigation can see at a glance whether jumps
+    engaged.
     """
     telemetry.cycles_simulated += stats.cycles
     telemetry.cycles_elided += stats.cycles_elided

@@ -2,85 +2,25 @@
 
 :class:`Project` wraps one repository checkout (the directory that holds
 ``src/repro``, ``docs/`` and ``tests/``) and hands the rules lazily parsed
-ASTs, raw source lines and a light class-attribute index.  Everything is
-path-based -- rules never import the code under analysis unless they opt
-into it explicitly (only the cache-key purity rule does, and only when the
-linted tree *is* the live ``repro`` package) -- so the same rules run
-unchanged over the tiny fixture trees in ``tests/lint_fixtures/``.
-
-The class index is deliberately simple: for every ``class`` statement in the
-tree it records the attribute names the class visibly declares -- methods,
-class-level assignments, annotated (dataclass) fields, ``__slots__`` strings
-and every ``self.X = ...`` store anywhere in its methods -- plus the names
-of its bases so lookups can union inherited attributes.  That is exactly
-enough to answer the question the fast-path rule asks ("does this guard
-expression reference an attribute that exists?") without real type
-inference.
+ASTs and raw source lines.  Everything is path-based -- rules never import
+the code under analysis unless they opt into it explicitly (only the
+cache-key purity rule does, and only when the linted tree *is* the live
+``repro`` package) -- so the same rules run unchanged over the tiny fixture
+trees in ``tests/lint_fixtures/``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 #: Package sources live here, relative to the project root.
 PACKAGE_REL = Path("src") / "repro"
 
 
-@dataclass
-class ClassInfo:
-    """One ``class`` statement: declared attributes and base-class names."""
-
-    name: str
-    path: Path                       # absolute path of the defining module
-    lineno: int
-    bases: List[str] = field(default_factory=list)
-    attrs: Set[str] = field(default_factory=set)
-
-
-def _slot_strings(value: ast.expr) -> List[str]:
-    """String elements of a ``__slots__`` tuple/list literal."""
-    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-        return [elt.value for elt in value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return [value.value]
-    return []
-
-
-def class_info(node: ast.ClassDef, path: Path) -> ClassInfo:
-    """Collect the visible attribute surface of one class statement."""
-    info = ClassInfo(name=node.name, path=path, lineno=node.lineno)
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            info.bases.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            info.bases.append(base.attr)
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.attrs.add(stmt.name)
-            for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Attribute)
-                        and isinstance(sub.ctx, ast.Store)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"):
-                    info.attrs.add(sub.attr)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    info.attrs.add(target.id)
-                    if target.id == "__slots__":
-                        info.attrs.update(_slot_strings(stmt.value))
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name):
-                info.attrs.add(stmt.target.id)
-    return info
-
-
 class Project:
-    """One checkout under lint: parsed files plus the class index."""
+    """One checkout under lint: lazily read and parsed files."""
 
     def __init__(self, root: Path):
         self.root = Path(root).resolve()
@@ -88,7 +28,6 @@ class Project:
         self._sources: Dict[Path, str] = {}
         self._lines: Dict[Path, List[str]] = {}
         self._trees: Dict[Path, ast.Module] = {}
-        self._classes: Optional[Dict[str, List[ClassInfo]]] = None
 
     # ------------------------------------------------------------------
     def rel(self, path: Path) -> str:
@@ -128,41 +67,3 @@ class Project:
             self._trees[path] = ast.parse(self.source(path),
                                           filename=str(path))
         return self._trees[path]
-
-    # ------------------------------------------------------------------
-    def classes(self) -> Dict[str, List[ClassInfo]]:
-        """name -> every class statement with that name in the package."""
-        if self._classes is None:
-            index: Dict[str, List[ClassInfo]] = {}
-            for path in self.python_files():
-                try:
-                    tree = self.tree(path)
-                except SyntaxError:
-                    continue
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.ClassDef):
-                        index.setdefault(node.name, []).append(
-                            class_info(node, path))
-            self._classes = index
-        return self._classes
-
-    def class_attrs(self, name: str,
-                    _seen: Optional[Set[str]] = None) -> Optional[Set[str]]:
-        """Union of declared attributes of every in-project class called
-        ``name``, including attributes inherited from in-project bases.
-        ``None`` when no such class exists in the tree."""
-        infos = self.classes().get(name)
-        if not infos:
-            return None
-        seen = _seen if _seen is not None else set()
-        if name in seen:
-            return set()
-        seen.add(name)
-        attrs: Set[str] = set()
-        for info in infos:
-            attrs.update(info.attrs)
-            for base in info.bases:
-                inherited = self.class_attrs(base, seen)
-                if inherited:
-                    attrs.update(inherited)
-        return attrs

@@ -3,7 +3,7 @@
 Every simulated cycle is charged to exactly one bucket of
 :data:`CPI_BUCKETS`, accumulated in ``SimStats.cpi_stack`` so stacks sum
 to ``cycles``, merge losslessly across shards (plain Counter addition)
-and stay bit-identical across the generic and fused drivers.
+and stay bit-identical whether the run loop steps a cycle or jumps it.
 
 The attribution rule is *state-based*, evaluated at the end of a cycle
 (after all five stage phases ran, before the clock advances):
@@ -22,14 +22,14 @@ The attribution rule is *state-based*, evaluated at the end of a cycle
   and on ``frontend_empty`` otherwise (fetch/decode latency, instruction
   cache misses, the initial pipeline fill).
 
-Elided spans (the event-horizon driver) are attributed arithmetically:
-the machine is provably quiescent across the span, so every elided cycle
+Jumped spans (see ``Processor._jump``) are attributed arithmetically:
+the machine is provably quiescent across the span, so every jumped cycle
 classifies identically and the driver adds ``span x blame-of-quiescent-
 state`` in one step -- exactly the ``rs_occupancy`` accumulation rule.
-Every condition below is constant across a quiescent span: the span is
-clamped to end before the head's minimum-age gate opens and before the
-fetch-queue head decodes, and everything else only changes through stage
-activity.
+Every condition below is constant across a quiescent span: the stage
+horizons end the span before the head's minimum-age gate opens and before
+the fetch-queue head decodes, and everything else only changes through
+stage activity.
 
 This module is imported by the core engine; it must not import any
 ``repro`` package.
@@ -71,8 +71,7 @@ def classify_stall(state) -> str:
 
     ``state`` is a :class:`~repro.core.stages.base.PipelineState` observed
     at the end of a cycle in which nothing retired.  Reads only engine
-    state both drivers share, so the generic loop, the fused loop and the
-    elided-span attribution all agree cycle for cycle.
+    state, so a stepped cycle and a jumped span agree cycle for cycle.
     """
     rob_entries = state.rob._entries
     if not rob_entries:

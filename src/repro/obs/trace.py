@@ -7,10 +7,9 @@ hook call per lifecycle transition from the four stage components:
 and ``complete`` (execution engine), ``retire`` (commit) and ``squash``
 (recovery controller and front-end flush).  Tracing is strictly opt-in:
 every hook site is guarded by a single ``tracer is None`` check, so an
-untraced run -- the default -- pays nothing, and the fused driver and
-compiled kernel stay fully eligible.  An *active* tracer only forces
-``REPRO_ELIDE``-off semantics (elided spans have no per-cycle events to
-observe); results are bit-identical either way.
+untraced run -- the default -- pays nothing.  An active tracer changes
+neither results nor the driver: a span the run loop jumps over has no
+stage activity, so it has no events to miss.
 
 Two output formats, both optional:
 

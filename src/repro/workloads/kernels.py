@@ -162,12 +162,12 @@ def pointer_chase_memory_bound(nodes: int = 12, hops: int = 2048,
     with more nodes than ways, LRU evicts each line long before the ring
     comes back around and every hop pays the full main-memory latency.
     Serial dependent loads mean the machine fills its windows and then sits
-    provably idle for most of each miss -- the workload that event-horizon
-    cycle elision is for, and the adversarial case for any clocking scheme
-    that must stay bit-identical across long quiescent spans.  The chase
-    loop is kept to the minimal three instructions (dependent load, trip
-    counter, branch) so the active cycles between misses stay small next to
-    the quiescent span of each miss.
+    provably idle for most of each miss -- the workload that the run
+    loop's horizon jumps are for, and the adversarial case for any clocking
+    scheme that must stay bit-identical across long quiescent spans.  The
+    chase loop is kept to the minimal three instructions (dependent load,
+    trip counter, branch) so the active cycles between misses stay small
+    next to the quiescent span of each miss.
     """
     b = ProgramBuilder(name=f"pointer_chase_mem_{nodes}_{hops}")
     b.label("main")

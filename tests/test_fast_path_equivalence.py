@@ -1,23 +1,19 @@
-"""Fast-path vs slow-path engine equivalence (hypothesis cross-check).
+"""The run loop vs the per-cycle ``Processor.step()`` reference.
 
-The engine has two per-cycle drivers: the fused quiescent-skipping loop
-(:meth:`Processor._run_phase_fast`, the default) and the generic
-``Stage``-protocol loop (``REPRO_FAST_PATH=0``).  It also has two scheduler
-inner-loop backends (``REPRO_KERNEL=py|compiled``).  All combinations must
-be **cycle-for-cycle identical**: same cycle count, same per-cycle RS
-occupancy samples, same squash/recovery behaviour, same integration
-statistics -- on arbitrary programs and on every registered machine
-variant.
+:func:`repro.core.simulate` runs :meth:`Processor.step` on every cycle in
+which some stage could act and jumps the clock across the quiescent spans
+in between (each stage reports its ``horizon``).  The jumps must be
+invisible: every ``SimStats`` field except the driver-mechanics
+``cycles_elided`` is bit-identical to stepping every cycle -- same cycle
+count, same per-cycle RS occupancy samples, same squash/recovery
+behaviour, same integration statistics and CPI stack -- on arbitrary
+programs and on every registered machine variant.
 
-These tests drive both engines over the same program and compare a
-fingerprint of every order-sensitive counter.  The workload-based cases are
-chosen so mid-run recovery actually happens (mispredicted branches and
-memory-order violations both squash), which the tests assert rather than
-assume.
+The workload-based cases are chosen so mid-run recovery actually happens
+(mispredicted branches and memory-order violations both squash), and the
+memory-bound cases so long spans are actually jumped; the tests assert
+both rather than assume them.
 """
-
-import os
-from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
@@ -28,70 +24,22 @@ from repro.isa import ProgramBuilder
 from repro.variants import variant_names
 from repro.workloads import build_workload, pointer_chase_memory_bound
 
-
-def _sorted_items(counter):
-    """Deterministic Counter ordering (keys may be enums, which don't sort)."""
-    return tuple(sorted(counter.items(), key=lambda kv: str(kv[0])))
+from stepping import simulate_stepped
 
 
-def _fingerprint(stats):
-    """Every counter whose value depends on per-cycle event order."""
-    return (
-        stats.cycles, stats.fetched, stats.renamed, stats.retired,
-        stats.squashed, stats.issued, stats.executed_loads,
-        stats.executed_stores, stats.rs_occupancy_sum,
-        stats.rs_occupancy_samples, stats.retired_branches,
-        stats.retired_mispredicted_branches,
-        stats.branch_resolution_latency_sum, stats.memory_order_violations,
-        stats.cht_hits, stats.cht_trainings, stats.integrated_direct,
-        stats.integrated_reverse, stats.mis_integrations,
-        stats.load_mis_integrations, stats.register_mis_integrations,
-        stats.lisp_suppressed, stats.refcount_saturation_failures,
-        _sorted_items(stats.integration_by_type),
-        _sorted_items(stats.integration_distance),
-        _sorted_items(stats.integration_status),
-        _sorted_items(stats.retired_by_type),
-        _sorted_items(stats.cpi_stack),
-    )
-
-
-@contextmanager
-def _env(**overrides):
-    """Set/unset environment variables for the duration of one run.
-
-    A plain context manager (not the monkeypatch fixture) so it can be used
-    inside hypothesis-driven tests, which reuse function-scoped fixtures
-    across examples.
-    """
-    saved = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _comparable(stats):
+    """Every ``SimStats`` field but the driver-mechanics ``cycles_elided``."""
+    fields = stats.to_dict()
+    fields.pop("cycles_elided")
+    return fields
 
 
 def _run_both(program, config, name="equiv"):
-    """Simulate once per engine driver and return both stats.
-
-    The slow run also forces the pure-Python kernel, so a single comparison
-    covers both the fused-loop/generic-loop and the compiled/py-kernel
-    seams (each run is deterministic, so any divergence on either axis
-    shows up as a fingerprint mismatch).
-    """
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=None):
-        fast = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="0", REPRO_KERNEL="py"):
-        slow = simulate(program, config, name=name)
-    return fast, slow
+    """Simulate once with the run loop and once stepping every cycle."""
+    jumped = simulate(program, config, name=name)
+    stepped = simulate_stepped(program, config, name=name)
+    assert stepped.cycles_elided == 0
+    return jumped, stepped
 
 
 @st.composite
@@ -145,8 +93,8 @@ class TestFastPathEquivalence:
     @given(program=branchy_programs())
     def test_random_programs_match_cycle_for_cycle(self, program):
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        fast, slow = _run_both(program, config)
-        assert _fingerprint(fast) == _fingerprint(slow)
+        jumped, stepped = _run_both(program, config)
+        assert _comparable(jumped) == _comparable(stepped)
 
     @pytest.mark.parametrize("variant", variant_names())
     def test_every_variant_matches_on_real_workload(self, variant):
@@ -154,60 +102,48 @@ class TestFastPathEquivalence:
         config = (MachineConfig()
                   .with_integration(IntegrationConfig.full())
                   .with_variant(variant))
-        fast, slow = _run_both(program, config,
-                               name=f"equiv-{variant}")
-        assert _fingerprint(fast) == _fingerprint(slow)
+        jumped, stepped = _run_both(program, config,
+                                    name=f"equiv-{variant}")
+        assert _comparable(jumped) == _comparable(stepped)
 
     def test_equivalence_covers_midrun_recovery(self):
         """The workload comparison is only meaningful if recovery fires."""
         program = build_workload("crafty", scale=0.05)
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        fast, slow = _run_both(program, config,
-                               name="equiv-recovery")
-        assert fast.squashed > 0, "no mid-run squash exercised"
-        assert fast.retired_mispredicted_branches > 0
-        assert _fingerprint(fast) == _fingerprint(slow)
+        jumped, stepped = _run_both(program, config,
+                                    name="equiv-recovery")
+        assert jumped.squashed > 0, "no mid-run squash exercised"
+        assert jumped.retired_mispredicted_branches > 0
+        assert _comparable(jumped) == _comparable(stepped)
 
     def test_integration_disabled_matches_too(self):
         program = build_workload("mcf", scale=0.05)
         config = MachineConfig().with_integration(
             IntegrationConfig.disabled())
-        fast, slow = _run_both(program, config,
-                               name="equiv-none")
-        assert _fingerprint(fast) == _fingerprint(slow)
+        jumped, stepped = _run_both(program, config,
+                                    name="equiv-none")
+        assert _comparable(jumped) == _comparable(stepped)
 
-    def test_bad_kernel_mode_rejected_with_one_liner(self):
-        from repro.core.kernel import KernelEnvError, select_backend
-        with _env(REPRO_KERNEL="bogus"):
-            with pytest.raises(KernelEnvError) as excinfo:
-                select_backend()
-        assert issubclass(KernelEnvError, SystemExit)
-        assert "REPRO_KERNEL='bogus'" in str(excinfo.value)
-
-
-def _run_elide_both(program, config, kernel, name="elide"):
-    """Simulate with elision on and off (same kernel) and return both.
-
-    Both runs use the fused fast-path driver: elision is a refinement of
-    it, and ``REPRO_ELIDE=0`` with the per-cycle loop is the ground truth
-    the jumps must reproduce bit-for-bit.
-    """
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=kernel, REPRO_ELIDE="1"):
-        elided = simulate(program, config, name=name)
-    with _env(REPRO_FAST_PATH="1", REPRO_KERNEL=kernel, REPRO_ELIDE="0"):
-        stepped = simulate(program, config, name=name)
-    return elided, stepped
+    def test_retire_budget_stops_both_on_the_same_boundary(self):
+        program = build_workload("gzip", scale=0.05)
+        config = MachineConfig().with_integration(IntegrationConfig.full())
+        jumped = simulate(program, config, name="equiv-budget",
+                          max_instructions=1500)
+        stepped = simulate_stepped(program, config, name="equiv-budget",
+                                   max_instructions=1500)
+        assert jumped.retired == 1500
+        assert _comparable(jumped) == _comparable(stepped)
 
 
 @st.composite
 def memory_stall_programs(draw):
     """Pointer chases tuned to stall: conflict-missing rings of drawn shape.
 
-    Drawn strides cover the full range of behaviours the elision guards
+    Drawn strides cover the full range of behaviours the stage horizons
     must survive: 512KB (every hop a main-memory miss -- maximal quiescent
     spans), 4KB (L2 hits after warmup -- short spans), and 16 bytes
-    (cache-resident -- elision almost never fires, exercising the veto
-    paths instead).
+    (cache-resident -- jumps almost never fire, exercising the paths where
+    some stage acts now instead).
     """
     nodes = draw(st.integers(min_value=5, max_value=10))
     hops = draw(st.integers(min_value=16, max_value=48))
@@ -216,63 +152,53 @@ def memory_stall_programs(draw):
 
 
 class TestElisionEquivalence:
-    """Event-horizon cycle elision is invisible in every counter.
+    """Horizon jumps on memory-bound programs, where most cycles are jumped.
 
-    ``REPRO_ELIDE=1`` (the default) jumps the clock across provably
-    quiescent spans; ``REPRO_ELIDE=0`` steps them one cycle at a time.
-    Every statistic except the diagnostic ``cycles_elided`` must be
-    bit-identical, on both kernel backends and every machine variant.
+    The jumped run must report ``cycles_elided > 0`` (the comparison is
+    not vacuous) and the stepped reference ``0``.
     """
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(program=memory_stall_programs(),
-           kernel=st.sampled_from(["py", "compiled"]))
-    def test_random_memory_stall_programs_match(self, program, kernel):
+    @given(program=memory_stall_programs())
+    def test_random_memory_stall_programs_match(self, program):
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        elided, stepped = _run_elide_both(program, config, kernel)
-        assert _fingerprint(elided) == _fingerprint(stepped)
-        assert stepped.cycles_elided == 0
+        jumped, stepped = _run_both(program, config, name="elide")
+        assert _comparable(jumped) == _comparable(stepped)
 
-    @pytest.mark.parametrize("kernel", ["py", "compiled"])
     @pytest.mark.parametrize("variant", variant_names())
-    def test_every_variant_and_kernel_matches(self, variant, kernel):
+    def test_every_variant_matches(self, variant):
         program = pointer_chase_memory_bound(nodes=6, hops=64)
         config = (MachineConfig()
                   .with_integration(IntegrationConfig.full())
                   .with_variant(variant))
-        elided, stepped = _run_elide_both(
-            program, config, kernel, name=f"elide-{variant}")
-        assert _fingerprint(elided) == _fingerprint(stepped)
-        assert elided.cycles_elided > 0, \
-            "no span was elided; the comparison is vacuous"
-        assert stepped.cycles_elided == 0
+        jumped, stepped = _run_both(program, config,
+                                    name=f"elide-{variant}")
+        assert _comparable(jumped) == _comparable(stepped)
+        assert jumped.cycles_elided > 0, \
+            "no span was jumped; the comparison is vacuous"
 
     def test_branchy_recovery_still_matches(self):
-        """Squash/recovery interleaved with stalls doesn't break elision."""
+        """Squash/recovery interleaved with stalls doesn't break jumps."""
         program = build_workload("mcf", scale=0.05)
         config = MachineConfig().with_integration(IntegrationConfig.full())
-        elided, stepped = _run_elide_both(program, config, "py",
-                                          name="elide-recovery")
-        assert elided.squashed > 0, "no mid-run squash exercised"
-        assert _fingerprint(elided) == _fingerprint(stepped)
+        jumped, stepped = _run_both(program, config, name="elide-recovery")
+        assert jumped.squashed > 0, "no mid-run squash exercised"
+        assert jumped.cycles_elided > 0
+        assert _comparable(jumped) == _comparable(stepped)
 
     def test_jump_accumulates_stats_exactly(self):
         """A jump's arithmetic accumulation equals the per-cycle loop.
 
-        The elision driver accumulates ``rs_occupancy_sum`` and
-        ``rs_occupancy_samples`` arithmetically (``span * len(waiting)``)
-        instead of sampling each skipped cycle; this pins the exact
+        The run loop accumulates ``rs_occupancy_sum`` and
+        ``rs_occupancy_samples`` arithmetically (``span * occupancy``)
+        instead of sampling each jumped cycle; this pins the exact
         equality of those two paths on a run with long jumps.
         """
         program = pointer_chase_memory_bound(nodes=8, hops=128)
-        config = MachineConfig()
-        elided, stepped = _run_elide_both(program, config, "py",
-                                          name="elide-stats")
-        assert elided.cycles_elided > 0
-        assert elided.cycles == stepped.cycles
-        assert elided.rs_occupancy_sum == stepped.rs_occupancy_sum
-        assert elided.rs_occupancy_samples == stepped.rs_occupancy_samples
-        # Elision is a driver mechanic, not an architectural event: the
-        # per-cycle ground truth run reports zero.
-        assert stepped.cycles_elided == 0
+        jumped, stepped = _run_both(program, MachineConfig(),
+                                    name="elide-stats")
+        assert jumped.cycles_elided > 0
+        assert jumped.cycles == stepped.cycles
+        assert jumped.rs_occupancy_sum == stepped.rs_occupancy_sum
+        assert jumped.rs_occupancy_samples == stepped.rs_occupancy_samples

@@ -114,10 +114,11 @@ def test_shards1_engine_matches_seed_goldens(bench_name, config_name):
 #: Figure 4 extension with a realistic and an oracle LISP.  Unlike the
 #: counters above, these pin every field -- the Figure 5 breakdowns and
 #: the CPI stack included -- so any drift in machine behaviour fails here.
-#: The one exception is ``cycles_elided``, a driver-mechanics counter that
-#: is zero when this file runs with ``REPRO_ELIDE=0``.  Regenerate (only
-#: for an intended behaviour change) by printing
-#: ``stats_digest(simulate(...))`` for each key.
+#: The one exception is ``cycles_elided``, a driver-mechanics counter (the
+#: cycles the run loop jumped rather than stepped) that is zero when every
+#: cycle is stepped with ``Processor.step()``.  Regenerate (only for an
+#: intended behaviour change) by printing ``stats_digest(simulate(...))``
+#: for each key.
 DIGESTS = {
     ("gzip", "none"):
         "39a739b41b1092021b4d665e773e66d7438b531adb9024997e97bf46b0c9c565",

@@ -278,6 +278,29 @@ class TestReadyTrackingScheduler:
         assert rs.select(self.always, self.always) == [dyn]
         assert rs.occupancy == 0
 
+    def test_may_select_tracks_the_ready_pool(self):
+        prf, rs = _wire()
+        assert not rs.may_select()
+        preg = prf.allocate()
+        dyn = _dyn_with_srcs(1, [preg])
+        rs.insert(dyn)
+        assert not rs.may_select(), "a waiting entry is not ready"
+        prf.set_value(preg, 42)
+        assert rs.may_select()
+        assert rs.select(self.always, self.always) == [dyn]
+        assert not rs.may_select()
+
+    def test_may_select_without_prf_reports_any_waiting_entry(self):
+        """The scan fallback cannot tell readiness without probing
+        operands, so any waiting entry counts as selectable."""
+        rs = ReservationStations(8)
+        assert not rs.may_select()
+        dyn = _dyn_with_srcs(1, [5])
+        rs.insert(dyn)
+        assert rs.may_select()
+        assert rs.select(lambda _: False, self.always) == []
+        assert rs.may_select()
+
     def test_ready_at_insert_is_selectable_immediately(self):
         prf, rs = _wire()
         preg = prf.allocate(ready=True, value=7)

@@ -4,12 +4,13 @@ Three properties anchor the layer:
 
 * **tracing is truthful** -- the tracer's event counts equal the
   engine's own counters (retire events == ``stats.retired``, squash
-  events == ``stats.squashed``) on arbitrary branchy programs, and an
-  *active* tracer never changes results (it only forces elision off);
+  events == ``stats.squashed``) on arbitrary branchy programs, an
+  *active* tracer never changes results, and the run loop's horizon
+  jumps drop no events (a jumped span has no stage activity);
 * **the CPI stack is a partition of time** -- every cycle is blamed on
   exactly one bucket, so the stack sums to ``cycles`` and is
-  bit-identical across drivers, kernels, elision settings and scheduling
-  (pool vs serial, sharded vs not for the same geometry);
+  bit-identical whether cycles are jumped or stepped, and across
+  scheduling (pool vs serial, sharded vs not for the same geometry);
 * **the metrics registry is the single source of truth** -- the run
   telemetry proxy, the worker mirror and the dashboard all render from
   it, and the sliding-window rate is a pure function of the snapshots.
@@ -33,7 +34,9 @@ from repro.obs.metrics import (
     sliding_rate,
 )
 from repro.obs.trace import PipelineTracer, default_trace_prefix
-from repro.workloads import build_workload
+from repro.workloads import build_workload, pointer_chase_memory_bound
+
+from stepping import simulate_stepped
 
 FULL = MachineConfig().with_integration(IntegrationConfig.full())
 
@@ -107,19 +110,32 @@ class TestTracing:
         assert tracer.issues == stats.issued
 
     def test_tracing_never_changes_results(self):
-        """An active tracer forces elision off; everything else is
-        bit-identical to the untraced run."""
+        """An active tracer changes nothing, ``cycles_elided`` included."""
         program = build_workload("gzip", scale=0.05)
-        with _env(REPRO_ELIDE=None, REPRO_FAST_PATH=None):
-            plain = simulate(program, FULL, name="obs-plain")
-            tracer = PipelineTracer(collect=False)
-            traced = simulate(program, FULL, name="obs-plain",
-                              tracer=tracer)
-            tracer.close()
-        assert traced.cycles_elided == 0
-        da, db = plain.to_dict(), traced.to_dict()
-        da.pop("cycles_elided"), db.pop("cycles_elided")
-        assert da == db
+        plain = simulate(program, FULL, name="obs-plain")
+        tracer = PipelineTracer(collect=False)
+        traced = simulate(program, FULL, name="obs-plain", tracer=tracer)
+        tracer.close()
+        assert traced.cycles_elided > 0
+        assert plain.to_dict() == traced.to_dict()
+
+    @pytest.mark.parametrize("program", [
+        build_workload("mcf", scale=0.05),
+        pointer_chase_memory_bound(nodes=6, hops=64),
+    ], ids=["mcf", "pointer-chase"])
+    def test_jumps_drop_no_trace_events(self, program):
+        """A jumped span has no stage activity, so the traced event list
+        equals the one from stepping every cycle."""
+        jumped_tracer = PipelineTracer(collect=True)
+        jumped = simulate(program, FULL, name="obs-jump",
+                          tracer=jumped_tracer)
+        jumped_tracer.close()
+        stepped_tracer = PipelineTracer(collect=True)
+        simulate_stepped(program, FULL, name="obs-jump",
+                         tracer=stepped_tracer)
+        stepped_tracer.close()
+        assert jumped.cycles_elided > 0, "no span jumped; vacuous"
+        assert jumped_tracer.events == stepped_tracer.events
 
     def test_retire_and_squash_partition_renamed_instructions(self):
         program = build_workload("mcf", scale=0.05)
@@ -183,32 +199,23 @@ class TestCpiStack:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program=branchy_programs(),
-           kernel=st.sampled_from(["py", "compiled"]),
-           elide=st.sampled_from(["0", "1"]))
-    def test_stack_partitions_cycles(self, program, kernel, elide):
-        with _env(REPRO_KERNEL=kernel, REPRO_ELIDE=elide,
-                  REPRO_FAST_PATH="1"):
-            stats = simulate(program, FULL, name="obs-cpi")
+           run=st.sampled_from([simulate, simulate_stepped]))
+    def test_stack_partitions_cycles(self, program, run):
+        stats = run(program, FULL, name="obs-cpi")
         assert sum(stats.cpi_stack.values()) == stats.cycles
         assert set(stats.cpi_stack) <= set(CPI_BUCKETS)
         assert stats.cpi_stack[CPI_RETIRED] > 0
         assert 0 not in stats.cpi_stack.values(), \
             "zero-valued buckets must stay absent (serialization identity)"
 
-    @pytest.mark.parametrize("kernel", ["py", "compiled"])
-    def test_stack_identical_across_drivers_and_elision(self, kernel):
+    def test_stack_identical_jumped_and_stepped(self):
         program = build_workload("mcf", scale=0.05)
-        runs = {}
-        for fast, elide in (("1", "1"), ("1", "0"), ("0", "0")):
-            with _env(REPRO_FAST_PATH=fast, REPRO_ELIDE=elide,
-                      REPRO_KERNEL=kernel):
-                runs[(fast, elide)] = simulate(program, FULL,
-                                               name="obs-axes")
-        stacks = {key: dict(stats.cpi_stack)
-                  for key, stats in runs.items()}
-        assert stacks[("1", "1")] == stacks[("1", "0")] == stacks[("0", "0")]
-        assert runs[("1", "1")].cycles_elided > 0, \
-            "no span elided; the elision axis is vacuous"
+        jumped = simulate(program, FULL, name="obs-axes")
+        stepped = simulate_stepped(program, FULL, name="obs-axes")
+        assert dict(jumped.cpi_stack) == dict(stepped.cpi_stack)
+        assert jumped.cycles_elided > 0, \
+            "no span jumped; the comparison is vacuous"
+        assert stepped.cycles_elided == 0
 
     def test_stack_attributes_recovery_and_memory(self):
         """A squash-heavy run blames recovery; integration converts some
