@@ -32,6 +32,7 @@ jobs and reclaimed leases under the distributed backend); ``figures
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -60,11 +61,35 @@ def _parse_benchmarks(spec: str) -> List[str]:
     return names
 
 
+def _scale(raw: str) -> float:
+    """``--scale``: the same positive-finite rule as ``REPRO_SCALE``."""
+    from repro.experiments.runner import POSITIVE_FLOAT, positive_float
+
+    try:
+        return positive_float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {raw!r}: expected {POSITIVE_FLOAT}") from None
+
+
+def _gc_threshold(raw: str) -> float:
+    """A ``cache gc`` age, size or grace period: finite and not negative,
+    so a typo cannot make gc delete every entry or an in-flight write."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"invalid value {raw!r}: expected a finite number >= 0")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--benchmarks", default="fast", metavar="SET",
                         help="smoke|fast|all or a comma-separated list "
                              "(default: fast)")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_scale, default=None,
                         help="workload scale factor (default: REPRO_SCALE "
                              "or 0.5)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -666,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace one benchmark's pipeline events (JSONL + Konata)")
     p_tr.add_argument("benchmark", metavar="BENCHMARK",
                       help="benchmark to trace (see --benchmarks all)")
-    p_tr.add_argument("--scale", type=float, default=None,
+    p_tr.add_argument("--scale", type=_scale, default=None,
                       help="workload scale factor (default: REPRO_SCALE "
                            "or 0.5)")
     p_tr.add_argument("--variant", default=None, metavar="NAME",
@@ -775,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--benchmarks", default="gzip", metavar="SET",
                         help="smoke|fast|all or a comma-separated list "
                              "(default: gzip)")
-    p_prof.add_argument("--scale", type=float, default=None,
+    p_prof.add_argument("--scale", type=_scale, default=None,
                         help="workload scale factor (default: REPRO_SCALE "
                              "or 0.5)")
     p_prof.add_argument("--variant", default=None, metavar="NAME",
@@ -800,15 +825,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache", help="manage the on-disk result cache")
     p_cache.add_argument("cache_action", choices=("info", "clear", "gc"))
-    p_cache.add_argument("--max-age-days", type=float, default=None,
+    p_cache.add_argument("--max-age-days", type=_gc_threshold, default=None,
                          metavar="D",
                          help="gc: drop entries older than D days")
-    p_cache.add_argument("--max-size-mb", type=float, default=None,
+    p_cache.add_argument("--max-size-mb", type=_gc_threshold, default=None,
                          metavar="MB",
                          help="gc: evict oldest entries until the cache "
                               "fits in MB megabytes")
-    p_cache.add_argument("--tmp-grace-minutes", type=float, default=60.0,
-                         metavar="M",
+    p_cache.add_argument("--tmp-grace-minutes", type=_gc_threshold,
+                         default=60.0, metavar="M",
                          help="gc: sweep orphaned *.tmp files older than "
                               "M minutes (default: 60)")
     p_cache.set_defaults(func=_cmd_cache)

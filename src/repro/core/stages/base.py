@@ -70,14 +70,12 @@ class PipelineState:
     __slots__ = (
         "program", "config", "arch", "diva", "mem", "predictor", "prf",
         "map_table", "renamer", "integration", "rob", "rs", "lsq", "cht",
-        "window", "stats", "cycle", "seq", "last_retire_cycle",
-        "preg_producer", "predictions", "retire_budget", "tracer",
-        "stall_cause",
+        "stats", "cycle", "seq", "last_retire_cycle", "preg_producer",
+        "retire_budget", "tracer", "stall_cause",
     )
 
     def __init__(self, *, program, config, arch, diva, mem, predictor, prf,
-                 map_table, renamer, integration, rob, rs, lsq, cht, stats,
-                 window=None):
+                 map_table, renamer, integration, rob, rs, lsq, cht, stats):
         self.program = program
         self.config = config
         self.arch = arch
@@ -92,9 +90,6 @@ class PipelineState:
         self.rs = rs
         self.lsq = lsq
         self.cht = cht
-        #: Shared structure-of-arrays in-flight state (falls back to the
-        #: scheduler's private window for hand-wired test harnesses).
-        self.window = window if window is not None else rs.window
         self.stats = stats
 
         # Global bookkeeping.
@@ -102,7 +97,6 @@ class PipelineState:
         self.seq = 0
         self.last_retire_cycle = 0
         self.preg_producer: Dict[int, DynInst] = {}
-        self.predictions: Dict[int, object] = {}
         #: Exact retired-instruction stop (None = run to completion).  The
         #: commit stage refuses to retire past it, so a slice ends on a
         #: precise architectural instruction boundary.
@@ -153,7 +147,6 @@ class RecoveryController:
             dyn.squashed = True
             seqs.add(dyn.seq)
             state.renamer.squash(dyn)
-            state.predictions.pop(dyn.seq, None)
             state.stats.squashed += 1
             if tracer is not None:
                 tracer.on_squash(dyn, cycle)

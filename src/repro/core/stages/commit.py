@@ -57,7 +57,6 @@ class CommitDiva:
         release = prf.release
         diva = state.diva
         arch = state.arch
-        predictions = state.predictions
         tracer = state.tracer
         retired = 0
         while retired < group and rob_entries:
@@ -99,10 +98,6 @@ class CommitDiva:
             if dyn.in_lsq:
                 state.lsq.remove(dyn)
             dyn.retire_cycle = cycle
-            info = dyn.info
-            if info.is_branch:
-                # Only branches register predictions (see FrontEnd.tick).
-                predictions.pop(dyn.seq, None)
             retired += 1
             if dyn.mis_integrated:
                 # The refill after the mis-integration flush is replay work;
@@ -118,7 +113,7 @@ class CommitDiva:
             itype = inst.itype
             if itype is not None:
                 stats.retired_by_type[itype] += 1
-            if info.is_cond_branch:
+            if dyn.info.is_cond_branch:
                 stats.retired_branches += 1
                 if dyn.branch_mispredicted or dyn.mis_integrated:
                     stats.retired_mispredicted_branches += 1

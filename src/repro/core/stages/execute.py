@@ -6,11 +6,11 @@ ready instructions from the reservation stations, models execution and
 memory-access latencies, and resolves branches, indirect jumps and stores as
 their results become available.
 
-The per-instruction work reads the structure-of-arrays
-:class:`~repro.core.window.Window` (dispatch kind, source physical
-registers, the per-cycle load-issue probe) and dispatches ALU evaluation
-through the per-opcode handlers precomputed on ``OpInfo`` -- the inner loop
-performs no enum hashing and builds no intermediate operand lists.
+The per-instruction work reads the precomputed ``OpInfo`` dispatch code
+(``kind_code``) and the instruction's renamed sources, and dispatches ALU
+evaluation through the per-opcode handlers precomputed on ``OpInfo`` -- the
+inner loop performs no enum hashing and builds no intermediate operand
+lists.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from repro.core.diva import SimulationError
 from repro.core.stages.base import NEVER, PipelineState, RecoveryController
 from repro.isa import semantics
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import (
+    KIND_ALU,
+    KIND_BRANCH,
+    KIND_INDIRECT,
+    KIND_LOAD,
+    KIND_STORE,
+    OpClass,
+)
 from repro.isa.program import INST_SIZE
 
 _MASK64 = semantics.MASK64
@@ -64,7 +71,6 @@ class IssueExecute:
 
     def _complete(self, dyn: DynInst) -> None:
         dyn.completed = True
-        dyn.executed = True
         dyn.complete_cycle = self.state.cycle
         tracer = self.state.tracer
         if tracer is not None:
@@ -84,7 +90,7 @@ class IssueExecute:
         taken = dyn.branch_taken
         target = dyn.next_pc
         state.integration.record_branch_outcome(dyn, taken)
-        prediction = state.predictions.get(dyn.seq)
+        prediction = dyn.prediction
         if prediction is None:
             return
         mispredicted = state.predictor.resolve(dyn.inst, prediction, taken,
@@ -96,7 +102,7 @@ class IssueExecute:
     def _resolve_indirect(self, dyn: DynInst) -> None:
         state = self.state
         target = dyn.next_pc
-        prediction = state.predictions.get(dyn.seq)
+        prediction = dyn.prediction
         if prediction is None:
             return
         mispredicted = state.predictor.resolve(dyn.inst, prediction, True,
@@ -120,8 +126,7 @@ class IssueExecute:
     # issue + execute
     # ==================================================================
     def tick(self) -> None:
-        selected = self.state.rs.select(self._operands_ready,
-                                        self._load_can_issue)
+        selected = self.state.rs.select(self._load_can_issue)
         if selected:
             execute = self._execute
             for dyn in selected:
@@ -143,37 +148,26 @@ class IssueExecute:
         """Scheduled events survive a squash; squashed producers are
         filtered when their events fire."""
 
-    def _operands_ready(self, dyn: DynInst) -> bool:
-        ready = self.state.prf.ready
-        for preg in dyn.src_pregs:
-            if not ready[preg]:
-                return False
-        return True
-
     def _load_can_issue(self, dyn: DynInst) -> bool:
+        """The issue probe of a ready load: the collision history table
+        may hold it behind older unresolved stores; otherwise it records
+        the load's address and forwarding store for :meth:`_execute_load`
+        (nothing between select and execute within a cycle changes the
+        store image the LSQ exposes)."""
         state = self.state
-        win = state.window
-        seq = dyn.seq
-        slot = seq & win.mask
-        base = state.prf.values[win.src1[slot]]
+        base = state.prf.values[dyn.src_pregs[0]]
         addr = (int(base) + dyn.inst.imm) & _MASK64
         if state.cht.predicts_collision(dyn.pc):
             # The hit statistic counts dynamic loads whose issue consulted a
             # collision prediction -- once per load, not once per re-poll of
             # a stalled load.
-            if not win.cht_counted[slot]:
-                win.cht_counted[slot] = True
+            if not dyn.cht_counted:
+                dyn.cht_counted = True
                 state.cht.record_hit()
             if state.lsq.older_stores_unresolved(dyn):
                 return False
-        store, data_ready = state.lsq.forward_from(dyn, addr)
-        # Cache the probe for _execute_load: nothing between select and
-        # execute within a cycle changes the store image the LSQ exposes.
-        win.probe_cycle[slot] = state.cycle
-        win.probe_addr[slot] = addr
-        win.probe_store[slot] = store
-        if store is not None and not data_ready:
-            return False
+        dyn.eff_addr = addr
+        dyn.forward_store = state.lsq.forward_from(dyn, addr)
         return True
 
     def _execute(self, dyn: DynInst) -> None:
@@ -187,17 +181,15 @@ class IssueExecute:
             tracer.on_issue(dyn, cycle)
         inst = dyn.inst
         info = dyn.info
-        win = state.window
-        slot = dyn.seq & win.mask
-        kind = win.kind[slot]
+        kind = info.kind_code
         prf_values = state.prf.values
-        nsrc = win.nsrc[slot]
-        a = prf_values[win.src1[slot]] if nsrc else 0
+        srcs = dyn.src_pregs
+        a = prf_values[srcs[0]] if srcs else 0
         regread = config.regread_stages
         wb = config.writeback_stages
 
-        if kind == 0:                               # ALU / FP
-            b = prf_values[win.src2[slot]] if nsrc > 1 else 0
+        if kind == KIND_ALU:
+            b = prf_values[srcs[1]] if len(srcs) > 1 else 0
             if info.eval_is_fp:
                 result = info.eval_fn(a, b, inst.imm)
             else:
@@ -212,21 +204,21 @@ class IssueExecute:
             latency = info.latency
             self._schedule_wakeup(dyn, latency, result)
             self._schedule_complete(dyn, regread + latency + wb)
-        elif kind == 1:                             # conditional branch
+        elif kind == KIND_BRANCH:
             taken = info.branch_fn(semantics.to_signed(int(a)))
             dyn.branch_taken = taken
             dyn.next_pc = inst.target if taken else inst.pc + INST_SIZE
             self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == 2:                             # indirect control
+        elif kind == KIND_INDIRECT:
             target = int(a) & _MASK64
             dyn.next_pc = target
             if dyn.cls is OpClass.CALL_INDIRECT and dyn.dest_preg is not None:
                 self._schedule_wakeup(dyn, 1, inst.pc + INST_SIZE)
             self._schedule_complete(dyn, regread + 1 + wb)
-        elif kind == 3:                             # load
-            self._execute_load(dyn, a, slot)
-        elif kind == 4:                             # store
-            b = prf_values[win.src2[slot]] if nsrc > 1 else 0
+        elif kind == KIND_LOAD:
+            self._execute_load(dyn)
+        elif kind == KIND_STORE:
+            b = prf_values[srcs[1]] if len(srcs) > 1 else 0
             addr = (int(b) + inst.imm) & _MASK64
             dyn.eff_addr = addr
             dyn.store_value = (int(a) & semantics.MASK32
@@ -237,22 +229,14 @@ class IssueExecute:
         else:  # pragma: no cover - such classes never enter the RS
             raise SimulationError(f"unexpected issue of {dyn}")
 
-    def _execute_load(self, dyn: DynInst, base, slot: int) -> None:
+    def _execute_load(self, dyn: DynInst) -> None:
+        """Execute a load with the address and forwarding store its issue
+        probe (:meth:`_load_can_issue`) found this cycle."""
         state = self.state
         config = state.config
-        inst = dyn.inst
-        win = state.window
         agen = config.memsys.address_generation_latency
-        # Reuse the issue-check probe computed by _load_can_issue this
-        # cycle: the LSQ store image cannot change between select and
-        # execute (stores resolve at completion, in writeback).
-        if win.probe_cycle[slot] == state.cycle:
-            addr = win.probe_addr[slot]
-            store = win.probe_store[slot]
-        else:
-            addr = (int(base) + inst.imm) & _MASK64
-            store, _ = state.lsq.forward_from(dyn, addr)
-        dyn.eff_addr = addr
+        addr = dyn.eff_addr
+        store = dyn.forward_store
         state.lsq.record_load(dyn, addr)
         state.stats.executed_loads += 1
         if store is not None:

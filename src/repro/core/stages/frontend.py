@@ -50,7 +50,6 @@ class FrontEnd:
         ready_cycle = (cycle + config.fetch_stages + config.decode_stages
                        + max(0, access.latency - 1))
         predictor = state.predictor
-        predictions = state.predictions
         fetch_queue = self.fetch_queue
         append = fetch_queue.append
         # The predictor only mutates on control-flow instructions, so one
@@ -80,7 +79,7 @@ class FrontEnd:
             if inst.info.is_branch:
                 prediction = predictor.predict(inst)
                 snap = None
-                predictions[dyn.seq] = prediction
+                dyn.prediction = prediction
                 append((dyn, ready_cycle))
                 if prediction.taken:
                     fetch_pc = prediction.target
@@ -108,7 +107,6 @@ class FrontEnd:
         tracer = state.tracer
         for dyn, _ in self.fetch_queue:
             dyn.squashed = True
-            state.predictions.pop(dyn.seq, None)
             state.stats.squashed += 1
             if tracer is not None:
                 tracer.on_squash(dyn, state.cycle)

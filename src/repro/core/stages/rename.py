@@ -144,7 +144,6 @@ class RenameIntegrate:
                 if dyn.cls is OpClass.CALL_DIRECT \
                         and dyn.dest_preg is not None:
                     prf.set_value(dyn.dest_preg, inst.pc + INST_SIZE)
-                dyn.executed = True
                 dyn.completed = True
                 dyn.complete_cycle = cycle
             dyn.rename_cycle = cycle
@@ -201,7 +200,6 @@ class RenameIntegrate:
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.integration_status = status
         dyn.integration_refcount = state.prf.refcount[out]
-        dyn.executed = True
         dyn.completed = True
         dyn.complete_cycle = state.cycle
         return True
@@ -216,10 +214,9 @@ class RenameIntegrate:
         dyn.integration_distance = max(0, dyn.seq - entry.creator_seq)
         dyn.branch_taken = outcome
         dyn.next_pc = inst.target if outcome else inst.pc + INST_SIZE
-        dyn.executed = True
         dyn.completed = True
         dyn.complete_cycle = state.cycle
-        prediction = state.predictions.get(dyn.seq)
+        prediction = dyn.prediction
         if prediction is None:
             return
         mispredicted = state.predictor.resolve(inst, prediction, outcome,
@@ -255,10 +252,8 @@ class RenameIntegrate:
             return True
         addr = semantics.effective_address(state.prf.value(base_preg),
                                            dyn.inst.imm)
-        store, data_ready = state.lsq.forward_from(dyn, addr)
+        store = state.lsq.forward_from(dyn, addr)
         if store is not None:
-            if not data_ready:
-                return True
             expected = store.store_value
         else:
             expected = state.arch.memory.read(addr)

@@ -132,16 +132,25 @@ class EnvVarError(SystemExit):
             f"(unset it or fix the value)")
 
 
+#: What a workload scale (``REPRO_SCALE``, ``--scale``) must be.
+POSITIVE_FLOAT = "a positive finite number (e.g. 0.5)"
+
+
+def positive_float(raw: str) -> float:
+    """Parse a positive, finite float; ``ValueError`` for anything else."""
+    value = float(raw)
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(raw)
+    return value
+
+
 def env_float(name: str, default: str) -> float:
     """Read a positive, finite float from the environment (or ``default``)."""
     raw = os.environ.get(name, default).strip() or default
     try:
-        value = float(raw)
+        return positive_float(raw)
     except ValueError:
-        raise EnvVarError(name, raw, "a number (e.g. 0.5)") from None
-    if not math.isfinite(value) or value <= 0:
-        raise EnvVarError(name, raw, "a positive finite number (e.g. 0.5)")
-    return value
+        raise EnvVarError(name, raw, POSITIVE_FLOAT) from None
 
 
 def _env_int(name: str, default: str,

@@ -140,7 +140,7 @@ class DynInst:
 
     __slots__ = (
         "seq", "inst", "op", "cls", "info",
-        "pc", "next_pc", "call_depth",
+        "pc", "next_pc", "call_depth", "prediction",
         # renaming
         "src_pregs", "src_gens", "dest_preg", "dest_gen", "old_dest_preg",
         "old_dest_gen",
@@ -149,15 +149,15 @@ class DynInst:
         "integrated", "reverse_integrated", "integration_distance",
         "integration_status", "integration_refcount", "it_entry",
         # execution state
-        "eff_addr", "store_value",
-        "executed", "issued", "completed", "squashed",
+        "eff_addr", "store_value", "forward_store",
+        "issued", "completed", "squashed",
         "branch_taken", "branch_mispredicted", "mem_mispeculated",
         "mis_integrated",
         # timing
         "fetch_cycle", "rename_cycle", "dispatch_cycle", "complete_cycle",
         "retire_cycle",
         # resources
-        "rs_pending", "rs_port", "rs_priority", "in_lsq",
+        "rs_pending", "in_lsq", "lsq_addr", "cht_counted",
     )
 
     def __init__(self, seq: int, inst: StaticInst):
@@ -169,6 +169,8 @@ class DynInst:
         self.pc = inst.pc
         self.next_pc = None
         self.call_depth = 0
+        #: The front end's branch prediction (control flow only).
+        self.prediction = None
         self.src_pregs: Sequence[int] = ()
         self.src_gens: Sequence[int] = ()
         self.dest_preg: Optional[int] = None
@@ -184,7 +186,8 @@ class DynInst:
         self.it_entry = None
         self.eff_addr = None
         self.store_value = None
-        self.executed = False
+        #: The older store a load forwards from, found by the issue probe.
+        self.forward_store = None
         self.issued = False
         self.completed = False
         self.squashed = False
@@ -199,11 +202,13 @@ class DynInst:
         self.retire_cycle = -1
         #: Source operands still awaited while waiting in the scheduler.
         self.rs_pending = 0
-        #: Issue port and selection priority, filled at scheduler insert.
-        self.rs_port = None
-        self.rs_priority = 1
         #: Honest load/store-queue membership flag (set/cleared by the LSQ).
         self.in_lsq = False
+        #: Word-aligned address the LSQ indexes this entry under (``None``
+        #: while a store is unresolved or a load has not executed).
+        self.lsq_addr = None
+        #: The CHT hit statistic already counted this dynamic load.
+        self.cht_counted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

@@ -127,6 +127,28 @@ CHECK_TAKEN = 3
 CHECK_NEXT_PC = 4
 
 
+# Scheduler and execute-stage codes, precomputed per opcode on OpInfo.
+#: Issue-port codes (``OpInfo.port_code``): indices into the scheduler's
+#: per-port count and limit lists.
+PORT_SIMPLE = 0
+PORT_COMPLEX = 1
+PORT_LOAD = 2
+PORT_STORE = 3
+
+#: Execute-dispatch codes (``OpInfo.kind_code``): what the execute stage
+#: does with a selected instruction.
+KIND_ALU = 0
+KIND_BRANCH = 1
+KIND_INDIRECT = 2
+KIND_LOAD = 3
+KIND_STORE = 4
+
+#: Sequence numbers occupy the low ``SEQ_BITS`` of a scheduler sort key,
+#: the selection priority the bits above (``OpInfo.sort_bias``), so
+#: comparing plain ints orders by (priority, age).
+SEQ_BITS = 48
+
+
 #: Classes that can redirect the PC.
 _BRANCH_CLASSES = frozenset({
     OpClass.COND_BRANCH, OpClass.DIRECT_JUMP, OpClass.CALL_DIRECT,
@@ -174,44 +196,38 @@ class OpInfo:
             OpClass.NOP)
         object.__setattr__(self, "rename_complete", rename_complete)
         object.__setattr__(self, "needs_rs", not rename_complete)
-        # Issue-port class and selection priority used by the scheduler
+        # Issue port and selection priority used by the scheduler
         # (repro.core.scheduler); both are functions of cls alone, so they
         # are precomputed here with the other per-opcode metadata.
         if cls is OpClass.LOAD:
-            port, port_code = "load", 2
+            port_code = PORT_LOAD
         elif cls is OpClass.STORE:
-            port, port_code = "store", 3
+            port_code = PORT_STORE
         elif cls in (OpClass.IMUL, OpClass.FP_ADD, OpClass.FP_MUL,
                      OpClass.FP_DIV):
-            port, port_code = "complex", 1
+            port_code = PORT_COMPLEX
         else:
-            port, port_code = "simple", 0
-        object.__setattr__(self, "issue_port", port)
-        #: Int mirror of ``issue_port`` (indexes the scheduler's flat
-        #: per-port count/limit lists; see repro.core.window).
+            port_code = PORT_SIMPLE
         object.__setattr__(self, "port_code", port_code)
+        # Loads, branches, FP and indirect control select first.
         priority = 0 if cls in (
             OpClass.LOAD, OpClass.COND_BRANCH, OpClass.FP_ADD,
             OpClass.FP_MUL, OpClass.FP_DIV, OpClass.CALL_INDIRECT,
             OpClass.INDIRECT_JUMP, OpClass.RETURN) else 1
-        object.__setattr__(self, "issue_priority", priority)
-        #: ``(priority << SEQ_BITS) | seq`` sorts by (priority, age) as a
-        #: plain int; the shifted half is precomputed here (SEQ_BITS = 48,
-        #: mirrored from repro.core.window to avoid an import cycle).
-        object.__setattr__(self, "sort_bias", priority << 48)
-        # Execute-stage dispatch code (repro.core.window KIND_* constants):
-        # the order the execute stage tests its cases in, flattened to an
-        # int so selection carries the dispatch decision with it.
+        #: ``sort_bias | seq`` is the scheduler's (priority, age) sort key.
+        object.__setattr__(self, "sort_bias", priority << SEQ_BITS)
+        # Execute-stage dispatch code: the order the execute stage tests
+        # its cases in, flattened to an int.
         if self.is_alu:
-            kind = 0
+            kind = KIND_ALU
         elif cls is OpClass.COND_BRANCH:
-            kind = 1
+            kind = KIND_BRANCH
         elif self.is_indirect_ctl:
-            kind = 2
+            kind = KIND_INDIRECT
         elif cls is OpClass.LOAD:
-            kind = 3
+            kind = KIND_LOAD
         elif cls is OpClass.STORE:
-            kind = 4
+            kind = KIND_STORE
         else:
             kind = -1            # never enters the reservation stations
         object.__setattr__(self, "kind_code", kind)

@@ -16,8 +16,8 @@ from typing import Callable, List
 from repro.core.builder import MachineBuilder
 from repro.core.config import MachineConfig
 from repro.core.scheduler import ReservationStations
-from repro.core.window import Window
 from repro.isa.instruction import DynInst
+from repro.isa.opcodes import PORT_LOAD, PORT_STORE
 from repro.rename.physical import PhysicalRegisterFile
 from repro.variants import register
 
@@ -30,34 +30,28 @@ class InOrderReservationStations(ReservationStations):
     stops at the first instruction that cannot issue instead of skipping it.
     """
 
-    def select(self, operand_ready: Callable[[DynInst], bool],
-               load_can_issue: Callable[[DynInst], bool]) -> List[DynInst]:
-        ports = self.ports
+    def select(self, load_can_issue: Callable[[DynInst], bool]
+               ) -> List[DynInst]:
         limits = self._limits
-        ready_pool = self._ready if self._prf is not None else None
+        width = self.ports.issue_width
+        combined = self.combined_ldst_port
         selected: List[DynInst] = []
-        counts = {"simple": 0, "complex": 0, "load": 0, "store": 0}
+        counts = [0, 0, 0, 0]
         for dyn in self._waiting.values():
-            if len(selected) >= ports.issue_width:
+            if len(selected) >= width or dyn.rs_pending:
                 break
-            if ready_pool is not None:
-                if dyn.seq not in ready_pool:
-                    break
-            elif not operand_ready(dyn):
+            code = dyn.info.port_code
+            if code == PORT_LOAD and not load_can_issue(dyn):
                 break
-            port = dyn.rs_port
-            if port == "load" and not load_can_issue(dyn):
+            if (combined and code >= PORT_LOAD
+                    and counts[PORT_LOAD] + counts[PORT_STORE] >= 1):
                 break
-            if (self.combined_ldst_port and port in ("load", "store")
-                    and counts["load"] + counts["store"] >= 1):
+            if counts[code] >= limits[code]:
                 break
-            if counts[port] >= limits[port]:
-                break
-            counts[port] += 1
+            counts[code] += 1
             selected.append(dyn)
         for dyn in selected:
-            del self._waiting[dyn.seq]
-            self._ready.pop(dyn.seq, None)
+            self._remove(dyn)
         return selected
 
 
@@ -70,8 +64,6 @@ class InOrderIssueVariant(MachineBuilder):
                    "stalled instruction blocks everything younger")
 
     def build_scheduler(self, config: MachineConfig,
-                        prf: PhysicalRegisterFile,
-                        window: Window) -> ReservationStations:
+                        prf: PhysicalRegisterFile) -> ReservationStations:
         return InOrderReservationStations(config.rs_entries, config.ports,
-                                          config.combined_ldst_port, prf=prf,
-                                          window=window)
+                                          config.combined_ldst_port, prf=prf)

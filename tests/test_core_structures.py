@@ -10,13 +10,13 @@ from repro.core import (
     IssuePortConfig,
     LoadStoreQueue,
     ReorderBuffer,
-    ReservationStations,
 )
 from repro.core.config import MachineConfig
 from repro.core.diva import SimulationError
 from repro.functional import ArchState
 from repro.isa import Opcode, StaticInst
 from repro.isa.instruction import DynInst
+from test_lsq_scheduler_edge_cases import _wire
 
 
 def dyn(seq, op=Opcode.ADDQ, **kwargs):
@@ -59,7 +59,7 @@ class TestReservationStations:
         return True
 
     def test_capacity(self):
-        rs = ReservationStations(2, IssuePortConfig())
+        _, rs = _wire(2)
         rs.insert(dyn(1))
         rs.insert(dyn(2))
         assert not rs.has_space()
@@ -69,49 +69,51 @@ class TestReservationStations:
     def test_port_limits_respected(self):
         ports = IssuePortConfig(issue_width=4, simple_int=2, complex_fp=2,
                                 loads=1, stores=1)
-        rs = ReservationStations(16, ports)
+        _, rs = _wire(16, ports)
         for seq in range(1, 7):
             rs.insert(dyn(seq, op=Opcode.ADDQ))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(self.always_ready)
         assert len(selected) == 2              # simple-int port limit
 
     def test_total_issue_width(self):
         ports = IssuePortConfig(issue_width=3, simple_int=2, complex_fp=2,
                                 loads=1, stores=1)
-        rs = ReservationStations(16, ports)
+        _, rs = _wire(16, ports)
         rs.insert(dyn(1, op=Opcode.ADDQ))
         rs.insert(dyn(2, op=Opcode.MULT, rd=33, ra=34, rb=35))
         rs.insert(dyn(3, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(4, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(self.always_ready)
         assert len(selected) == 3
 
     def test_priority_classes_first_then_age(self):
-        rs = ReservationStations(16, IssuePortConfig())
+        _, rs = _wire(16)
         old_alu = dyn(1, op=Opcode.ADDQ)
         young_load = dyn(2, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0)
         rs.insert(old_alu)
         rs.insert(young_load)
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(self.always_ready)
         assert selected[0] is young_load       # loads have priority
 
     def test_combined_load_store_port(self):
-        rs = ReservationStations(16, IssuePortConfig(), combined_ldst_port=True)
+        _, rs = _wire(16, combined_ldst_port=True)
         rs.insert(dyn(1, op=Opcode.LDQ, rd=1, ra=2, rb=None, imm=0))
         rs.insert(dyn(2, op=Opcode.STQ, rd=None, ra=1, rb=2, imm=0))
-        selected = rs.select(self.always_ready, self.always_ready)
+        selected = rs.select(self.always_ready)
         mem_ops = [d for d in selected if d.op in (Opcode.LDQ, Opcode.STQ)]
         assert len(mem_ops) == 1
 
     def test_not_ready_instructions_stay(self):
-        rs = ReservationStations(16, IssuePortConfig())
-        rs.insert(dyn(1))
-        selected = rs.select(lambda d: False, self.always_ready)
+        prf, rs = _wire(16)
+        waiting = dyn(1)
+        waiting.src_pregs = (prf.allocate(),)  # its producer has not run
+        rs.insert(waiting)
+        selected = rs.select(self.always_ready)
         assert selected == []
         assert rs.occupancy == 1
 
     def test_squash_removes_entries(self):
-        rs = ReservationStations(16, IssuePortConfig())
+        _, rs = _wire(16)
         a, b = dyn(1), dyn(2)
         rs.insert(a)
         rs.insert(b)
@@ -139,8 +141,7 @@ class TestLoadStoreQueue:
         st2.store_value = 20
         lsq.resolve_store(st1, 0x100)
         lsq.resolve_store(st2, 0x100)
-        found, ready = lsq.forward_from(ld, 0x100)
-        assert found is st2 and ready
+        assert lsq.forward_from(ld, 0x100) is st2
 
     def test_no_forwarding_from_younger_store(self):
         lsq = LoadStoreQueue(8)
@@ -148,8 +149,7 @@ class TestLoadStoreQueue:
         lsq.insert(ld)
         lsq.insert(st)
         lsq.resolve_store(st, 0x100)
-        found, _ = lsq.forward_from(ld, 0x100)
-        assert found is None
+        assert lsq.forward_from(ld, 0x100) is None
 
     def test_violation_detection(self):
         lsq = LoadStoreQueue(8)

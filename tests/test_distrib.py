@@ -580,6 +580,27 @@ class TestCacheGc:
         assert queue.status().pending == 1          # ...and clear spared it
         assert cache.info()["entries"] == 0         # info excludes queue too
 
+    @pytest.mark.parametrize("flag", ["--max-age-days", "--max-size-mb",
+                                      "--tmp-grace-minutes"])
+    def test_cli_rejects_bad_thresholds_before_touching_cache(
+            self, isolated_cache, capsys, flag):
+        """A negative or non-finite threshold is a one-line usage error,
+        not an instruction to delete every entry or an in-flight write."""
+        from repro.__main__ import main
+
+        cache = ResultCache(isolated_cache)
+        self._store(cache, "aa" * 32, {"x": 1}, age_seconds=7 * 86400)
+        inflight = isolated_cache / "aa" / "writer.tmp"
+        inflight.write_bytes(b"concurrent writer")
+        before = sorted(isolated_cache.rglob("*"))
+        for value in ("-1", "-0.5", "nan", "inf"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["cache", "gc", flag, value])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert f"argument {flag}: invalid value" in err[-1]
+        assert sorted(isolated_cache.rglob("*")) == before
+
     def test_store_payload_cleans_tmp_on_interrupt(self, tmp_path,
                                                    monkeypatch):
         """A KeyboardInterrupt mid-write must not strand a .tmp file."""

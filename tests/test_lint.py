@@ -299,10 +299,9 @@ def _run_cli(args, cwd):
 
 def test_mypy_strict_modules_clean():
     # mypy is an optional (CI-installed) dependency; the staged config in
-    # pyproject.toml holds these three modules to strict annotations.
+    # pyproject.toml holds these two modules to strict annotations.
     pytest.importorskip("mypy")
-    files = ["src/repro/core/window.py", "src/repro/serialization.py",
-             "src/repro/distrib/queue.py"]
+    files = ["src/repro/serialization.py", "src/repro/distrib/queue.py"]
     proc = subprocess.run([sys.executable, "-m", "mypy", *files],
                           cwd=REPO_ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr

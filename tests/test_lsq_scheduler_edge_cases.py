@@ -50,16 +50,13 @@ class TestForwardSquashInterleaving:
             lsq.insert(d)
         lsq.resolve_store(st1, 0x100)
         lsq.resolve_store(st2, 0x100)
-        found, _ = lsq.forward_from(ld, 0x100)
-        assert found is st2
+        assert lsq.forward_from(ld, 0x100) is st2
         # Squashing the youngest matching store falls back to the next one.
         lsq.squash({2})
-        found, _ = lsq.forward_from(ld, 0x100)
-        assert found is st1
+        assert lsq.forward_from(ld, 0x100) is st1
         # Retiring the remaining store leaves nothing to forward from.
         lsq.remove(st1)
-        found, _ = lsq.forward_from(ld, 0x100)
-        assert found is None
+        assert lsq.forward_from(ld, 0x100) is None
 
     def test_squashed_load_is_not_a_violation_victim(self):
         lsq = LoadStoreQueue(8)
@@ -79,11 +76,10 @@ class TestForwardSquashInterleaving:
         lsq.resolve_store(st1, 0x300)
         lsq.resolve_store(st2, 0x300)
         lsq.resolve_store(st4, 0x300)
-        found, _ = lsq.forward_from(ld, 0x300)
-        assert found is st2            # youngest *older* store, not st4
+        # The youngest *older* store, not st4.
+        assert lsq.forward_from(ld, 0x300) is st2
         lsq.squash({2, 4})
-        found, _ = lsq.forward_from(ld, 0x300)
-        assert found is st1
+        assert lsq.forward_from(ld, 0x300) is st1
 
     def test_in_lsq_membership_flag(self):
         lsq = LoadStoreQueue(8)
@@ -119,7 +115,6 @@ class _NaiveEntry:
         self.dyn = dyn
         self.is_store = is_store_op
         self.addr = None
-        self.data_ready = False
         self.executed = False
 
 
@@ -155,7 +150,6 @@ class NaiveLSQ:
         if entry is None:
             return []
         entry.addr = SparseMemory.align(addr)
-        entry.data_ready = True
         entry.executed = True
         violations = [e.dyn for e in self._entries
                       if (not e.is_store and e.executed
@@ -176,9 +170,7 @@ class NaiveLSQ:
             if e.is_store and e.dyn.seq < dyn.seq and e.addr == aligned:
                 if best is None or e.dyn.seq > best.dyn.seq:
                     best = e
-        if best is None:
-            return None, True
-        return best.dyn, best.data_ready
+        return None if best is None else best.dyn
 
     def older_stores_unresolved(self, dyn):
         return any(e.is_store and e.dyn.seq < dyn.seq and e.addr is None
@@ -245,14 +237,31 @@ class TestLSQMatchesNaiveModel:
                         == naive.older_stores_unresolved(dyn))
                 assert (fast.older_store_conflict_possible(dyn, addr)
                         == naive.older_store_conflict_possible(dyn, addr))
+            # The indices agree with each live entry's one address field
+            # and hold only live entries.
+            indexed_loads = {seq for bucket in fast._loads_by_addr.values()
+                             for seq in bucket}
+            for dyn in dyns:
+                if dyn.seq not in fast._by_seq:
+                    continue
+                if dyn.info.is_store:
+                    assert ((dyn.lsq_addr is None)
+                            == (dyn.seq in fast._unresolved_stores))
+                else:
+                    assert ((dyn.seq in indexed_loads)
+                            == (dyn.lsq_addr is not None))
+            indexed = set(fast._unresolved_stores) | indexed_loads
+            for bucket in fast._stores_by_addr.values():
+                indexed.update(bucket)
+            assert indexed <= fast._by_seq.keys()
 
 
 # ======================================================================
 # Scheduler: event-driven readiness tracking
 # ======================================================================
-def _wire(entries=8):
+def _wire(entries=8, ports=None, combined_ldst_port=False):
     prf = PhysicalRegisterFile(70)
-    rs = ReservationStations(entries, prf=prf)
+    rs = ReservationStations(entries, ports, combined_ldst_port, prf=prf)
     prf.on_ready = rs.wakeup
     return prf, rs
 
@@ -273,9 +282,9 @@ class TestReadyTrackingScheduler:
         preg = prf.allocate()
         dyn = _dyn_with_srcs(1, [preg])
         rs.insert(dyn)
-        assert rs.select(self.always, self.always) == []
+        assert rs.select(self.always) == []
         prf.set_value(preg, 42)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
         assert rs.occupancy == 0
 
     def test_may_select_tracks_the_ready_pool(self):
@@ -287,26 +296,15 @@ class TestReadyTrackingScheduler:
         assert not rs.may_select(), "a waiting entry is not ready"
         prf.set_value(preg, 42)
         assert rs.may_select()
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
         assert not rs.may_select()
-
-    def test_may_select_without_prf_reports_any_waiting_entry(self):
-        """The scan fallback cannot tell readiness without probing
-        operands, so any waiting entry counts as selectable."""
-        rs = ReservationStations(8)
-        assert not rs.may_select()
-        dyn = _dyn_with_srcs(1, [5])
-        rs.insert(dyn)
-        assert rs.may_select()
-        assert rs.select(lambda _: False, self.always) == []
-        assert rs.may_select()
 
     def test_ready_at_insert_is_selectable_immediately(self):
         prf, rs = _wire()
         preg = prf.allocate(ready=True, value=7)
         dyn = _dyn_with_srcs(1, [preg])
         rs.insert(dyn)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
 
     def test_duplicate_source_needs_single_wakeup(self):
         prf, rs = _wire()
@@ -315,7 +313,7 @@ class TestReadyTrackingScheduler:
         rs.insert(dyn)
         assert dyn.rs_pending == 2
         prf.set_value(preg, 1)
-        assert rs.select(self.always, self.always) == [dyn]
+        assert rs.select(self.always) == [dyn]
 
     def test_squashed_instruction_ignores_stale_wakeup(self):
         prf, rs = _wire()
@@ -326,7 +324,7 @@ class TestReadyTrackingScheduler:
         rs.insert(survivor)
         assert rs.squash({1}) == 1
         prf.set_value(preg, 9)
-        assert rs.select(self.always, self.always) == [survivor]
+        assert rs.select(self.always) == [survivor]
         assert rs.occupancy == 0
 
     def test_wakeup_fires_only_on_not_ready_to_ready_transition(self):
@@ -425,6 +423,24 @@ def test_squashed_inflight_events_with_tiny_prf():
 # ======================================================================
 # Runner environment-variable validation
 # ======================================================================
+#: Every subcommand with a ``--scale`` flag, with its required arguments.
+_SCALE_COMMANDS = (["run"], ["figures"], ["trace", "gzip"], ["profile"],
+                   ["submit", "--no-wait"])
+
+
+def _assert_scale_flag_rejected(capsys, value):
+    """``--scale`` applies the ``REPRO_SCALE`` rule: a one-line usage
+    error before any work, on every subcommand that takes it."""
+    from repro.__main__ import main
+
+    for command in _SCALE_COMMANDS:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, f"--scale={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert "argument --scale: invalid value" in err[-1]
+
+
 class TestEnvValidation:
     def test_malformed_scale_is_a_clear_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "fast")
@@ -433,16 +449,19 @@ class TestEnvValidation:
         assert "REPRO_SCALE" in str(excinfo.value)
         assert "fast" in str(excinfo.value)
 
-    def test_non_positive_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(runner.EnvVarError):
-            runner.default_scale()
+    def test_non_positive_scale_rejected(self, monkeypatch, capsys):
+        for value in ("-1", "0"):
+            monkeypatch.setenv("REPRO_SCALE", value)
+            with pytest.raises(runner.EnvVarError):
+                runner.default_scale()
+            _assert_scale_flag_rejected(capsys, value)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_non_finite_scale_rejected(self, monkeypatch, value):
+    def test_non_finite_scale_rejected(self, monkeypatch, capsys, value):
         monkeypatch.setenv("REPRO_SCALE", value)
         with pytest.raises(runner.EnvVarError):
             runner.default_scale()
+        _assert_scale_flag_rejected(capsys, value)
 
     def test_malformed_jobs_is_a_clear_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")

@@ -27,6 +27,9 @@ from repro.experiments import runner, scenario_matrix, sharding
 from repro.experiments.cache import result_key
 from repro.functional.emulator import run_program
 from repro.integration.config import IntegrationConfig
+from repro.isa import Opcode, StaticInst
+from repro.isa.instruction import DynInst
+from repro.rename import PhysicalRegisterFile
 from repro.variants import (
     UnknownVariantError,
     describe_variants,
@@ -271,28 +274,23 @@ class TestInOrderIssue:
         cycle: no younger instruction issues while an older one waits."""
         from repro.variants.inorder import InOrderReservationStations
 
-        rs = InOrderReservationStations(8)
-
-        class FakeDyn:
-            def __init__(self, seq, port):
-                self.seq = seq
-                self.rs_port = port
-                self.rs_priority = 0
-                self.rs_pending = 0
-
-            @property
-            def info(self):
-                raise AssertionError("insert path not used in this test")
-
-        # Bypass insert (it reads dyn.info); drive _waiting directly.
-        older = FakeDyn(1, "simple")
-        younger = FakeDyn(2, "simple")
-        rs._waiting = {1: older, 2: younger}
-        ready = {2}   # only the younger one is ready
-        selected = rs.select(lambda d: d.seq in ready, lambda d: True)
+        prf = PhysicalRegisterFile(70)
+        rs = InOrderReservationStations(8, prf=prf)
+        prf.on_ready = rs.wakeup
+        older_src = prf.allocate()              # not ready yet
+        ready_src = prf.allocate(ready=True, value=0)
+        older = DynInst(1, StaticInst(pc=4, op=Opcode.ADDQ, rd=1, ra=2,
+                                      rb=3))
+        older.src_pregs = (older_src,)
+        younger = DynInst(2, StaticInst(pc=8, op=Opcode.ADDQ, rd=4, ra=5,
+                                        rb=6))
+        younger.src_pregs = (ready_src,)
+        rs.insert(older)
+        rs.insert(younger)
+        selected = rs.select(lambda d: True)
         assert selected == []   # stalled head blocks the ready younger op
-        ready.add(1)
-        selected = rs.select(lambda d: d.seq in ready, lambda d: True)
+        prf.set_value(older_src, 7)
+        selected = rs.select(lambda d: True)
         assert [d.seq for d in selected] == [1, 2]
 
 
